@@ -3,18 +3,29 @@
 Likelihood surfaces of Weibull mixtures are flat over wide regions and
 often multimodal, so the fitter runs several deterministic and seeded
 starting points. Each start alternates an EM update of the mixing
-proportion with quasi-Newton steps on the log shapes and scales, then
+proportion with L-BFGS-B steps on the log shapes and scales, then
 polishes all five parameters jointly; positivity is enforced by working
 in log coordinates with the mixing proportion on a logistic scale.
+
+The starts run in lockstep. L-BFGS-B is driven through scipy's
+reverse-communication routine ``setulb``, so each start is a generator
+that yields the parameter vector it needs evaluated next. The fitter
+gathers the pending vectors of all unfinished starts into one
+(starts x n) array, computes log-likelihood, score and mean
+responsibility for every row in one pass, and sends each start its row.
+A row's values do not depend on the other rows, and the driver repeats
+``scipy.optimize.minimize(method="L-BFGS-B")`` step for step, so every
+start takes exactly the iterates it would take on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 from scipy.special import expit, gammaln, logit
 
 from .errors import AllStartsFailed, DomainError, NonFiniteHessian, TooFewObservations
@@ -32,8 +43,15 @@ _P_FLAG = (0.05, 0.95)
 # along flat likelihood ridges.
 _ETA_BOUND = 12.0
 _LOGIT_BOUND = 13.8
+_BOX4 = np.full(4, _ETA_BOUND)
+_BOX5 = np.array([_ETA_BOUND] * 4 + [_LOGIT_BOUND])
 _EM_CYCLES = 4
 _HUGE_NLL = 1e18
+# L-BFGS-B settings of scipy.optimize.minimize that the driver reproduces:
+# memory, line-search steps per iteration, evaluation budget.
+_LBFGSB_M = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
 
 
 @dataclass(frozen=True)
@@ -77,19 +95,6 @@ class FitResult:
     boundary_proximity: bool = False
 
 
-def _log_components(x: np.ndarray, th: np.ndarray):
-    """Log component densities and their building blocks at parameter array th."""
-    a1, a2, b1, b2, _ = th
-    l1 = np.log(x / b1)
-    l2 = np.log(x / b2)
-    with np.errstate(over="ignore"):
-        u1 = np.exp(a1 * l1)
-        u2 = np.exp(a2 * l2)
-    lf1 = math.log(a1 / b1) + (a1 - 1.0) * l1 - u1
-    lf2 = math.log(a2 / b2) + (a2 - 1.0) * l2 - u2
-    return lf1, lf2, u1, u2, l1, l2
-
-
 def _logaddexp2way(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Elementwise log(exp(t1) + exp(t2)), tolerating -inf in both slots."""
     hi = np.maximum(t1, t2)
@@ -98,55 +103,64 @@ def _logaddexp2way(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(hi), out, hi)
 
 
-def _log_mixture_terms(x: np.ndarray, th: np.ndarray):
-    lf1, lf2, u1, u2, l1, l2 = _log_components(x, th)
-    p = th[4]
-    lp = math.log(p) if p > 0.0 else -math.inf
-    lq = math.log1p(-p) if p < 1.0 else -math.inf
-    t1 = lp + lf1
-    t2 = lq + lf2
-    lse = _logaddexp2way(t1, t2)
-    return lf1, lf2, t1, t2, lse, u1, u2, l1, l2
-
-
-def _loglik(x: np.ndarray, th: np.ndarray) -> float:
-    lse = _log_mixture_terms(x, th)[4]
-    total = float(np.sum(lse))
-    return total if math.isfinite(total) else -math.inf
-
-
-def log_likelihood(theta: MixtureParams, sample: Sample) -> float:
-    """Total log-likelihood of the sample, safeguarded against underflow.
-
-    Per-point densities are assembled on the log scale (log-sum-exp over
-    the two components); if a point's density still underflows to zero the
-    function returns -inf rather than raising.
-    """
-    return _loglik(sample.values, theta.as_array())
-
-
-def _masked_dot(w: np.ndarray, factor: np.ndarray) -> float:
-    """sum(w * factor) treating w == 0 terms as exactly zero.
+def _masked_dot(w: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Row sums of w * factor, treating w == 0 terms as exactly zero.
 
     Where a component density underflows the factor can be infinite while
-    the weight is exactly zero; those terms contribute nothing.
+    the weight is exactly zero; those terms contribute nothing. Rows with
+    such terms are summed over their positive weights only, so each row
+    sum is the one its positive terms alone would give.
     """
-    out = 0.0
-    mask = w > 0.0
-    if np.any(mask):
-        out = float(np.sum(w[mask] * factor[mask]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        prod = w * factor
+        out = np.sum(prod, axis=1)
+        positive = w > 0.0
+        for i in np.flatnonzero(~np.all(positive, axis=1)):
+            out[i] = np.sum(prod[i, positive[i]])
     return out
 
 
-def _score(x: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Gradient of the total log-likelihood with respect to (a1, a2, b1, b2, p)."""
-    lf1, lf2, t1, t2, lse, u1, u2, l1, l2 = _log_mixture_terms(x, th)
-    a1, a2, b1, b2, _ = th
+def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
+    """Log-likelihood, score and mean responsibility at each parameter row.
+
+    ``thetas`` is a (k, 5) array of rows (a1, a2, b1, b2, p). Returns the
+    total log-likelihood per row (-inf where it is not finite), the (k, 5)
+    gradient of the total log-likelihood with respect to (a1, a2, b1, b2, p),
+    and the mean first-component responsibility per row. Per-row scalar
+    logs are taken with ``math`` and every reduction runs along a row, so a
+    row's values do not depend on the other rows.
+    """
+    a1, a2, b1, b2 = (thetas[:, j : j + 1] for j in range(4))
+    c1, c2, lp, lq = np.array(
+        [
+            (
+                math.log(ra1 / rb1),
+                math.log(ra2 / rb2),
+                math.log(rp) if rp > 0.0 else -math.inf,
+                math.log1p(-rp) if rp < 1.0 else -math.inf,
+            )
+            for ra1, ra2, rb1, rb2, rp in thetas.tolist()
+        ]
+    ).T[:, :, None]
+    l1 = np.log(x / b1)
+    l2 = np.log(x / b2)
+    with np.errstate(over="ignore"):
+        u1 = np.exp(a1 * l1)
+        u2 = np.exp(a2 * l2)
+    lf1 = c1 + (a1 - 1.0) * l1 - u1
+    lf2 = c2 + (a2 - 1.0) * l2 - u2
+    t1 = lp + lf1
+    t2 = lq + lf2
+    lse = _logaddexp2way(t1, t2)
+    ll = np.sum(lse, axis=1)
+    ll[~np.isfinite(ll)] = -math.inf
+
     with np.errstate(invalid="ignore"):
         w1 = np.exp(t1 - lse)  # responsibilities p*f1/f and (1-p)*f2/f
         w2 = np.exp(t2 - lse)
         r1 = np.exp(lf1 - lse)  # density ratios f1/f and f2/f
         r2 = np.exp(lf2 - lse)
+    resp = np.mean(np.where(np.isfinite(w1), w1, 0.5), axis=1)
     w1 = np.where(np.isfinite(w1), w1, 0.0)
     w2 = np.where(np.isfinite(w2), w2, 0.0)
     r1 = np.where(np.isfinite(r1), r1, 0.0)
@@ -156,28 +170,30 @@ def _score(x: np.ndarray, th: np.ndarray) -> np.ndarray:
         tb1 = (a1 / b1) * (u1 - 1.0)
         ta2 = 1.0 / a2 + l2 * (1.0 - u2)
         tb2 = (a2 / b2) * (u2 - 1.0)
-    g = np.empty(5)
-    g[0] = _masked_dot(w1, ta1)
-    g[1] = _masked_dot(w2, ta2)
-    g[2] = _masked_dot(w1, tb1)
-    g[3] = _masked_dot(w2, tb2)
-    g[4] = float(np.sum(r1 - r2))
-    return g
+    score = np.empty((thetas.shape[0], 5))
+    score[:, 0] = _masked_dot(w1, ta1)
+    score[:, 1] = _masked_dot(w2, ta2)
+    score[:, 2] = _masked_dot(w1, tb1)
+    score[:, 3] = _masked_dot(w2, tb2)
+    score[:, 4] = np.sum(r1 - r2, axis=1)
+    return ll, score, resp
 
 
-def _responsibility_mean(x: np.ndarray, th: np.ndarray) -> float:
-    lf1, lf2, t1, t2, lse, *_ = _log_mixture_terms(x, th)
-    with np.errstate(invalid="ignore"):
-        w1 = np.exp(t1 - lse)
-    w1 = np.where(np.isfinite(w1), w1, 0.5)
-    return float(np.mean(w1))
+def log_likelihood(theta: MixtureParams, sample: Sample) -> float:
+    """Total log-likelihood of the sample, safeguarded against underflow.
+
+    Per-point densities are assembled on the log scale (log-sum-exp over
+    the two components); if a point's density still underflows to zero the
+    function returns -inf rather than raising.
+    """
+    return float(_evaluate(sample.values, theta.as_array()[None, :])[0][0])
 
 
 def _to_eta(th: np.ndarray) -> np.ndarray:
     eta = np.empty(5)
     eta[:4] = np.log(th[:4])
     eta[4] = logit(min(max(th[4], 1e-6), 1.0 - 1e-6))
-    return np.clip(eta, [-_ETA_BOUND] * 4 + [-_LOGIT_BOUND], [_ETA_BOUND] * 4 + [_LOGIT_BOUND])
+    return np.clip(eta, -_BOX5, _BOX5)
 
 
 def _from_eta(eta: np.ndarray) -> np.ndarray:
@@ -187,23 +203,130 @@ def _from_eta(eta: np.ndarray) -> np.ndarray:
     return th
 
 
-def _nll_eta(eta: np.ndarray, x: np.ndarray) -> tuple:
+def _nll_eta(eta: np.ndarray):
+    """Negative log-likelihood and gradient in the five eta coordinates.
+
+    A generator: yields the parameter row to evaluate, receives
+    (log-likelihood, score, responsibility mean) and returns (f, gradient).
+    """
     th = _from_eta(eta)
-    ll = _loglik(x, th)
+    ll, score, _ = yield th
     if not math.isfinite(ll):
         return _HUGE_NLL, np.zeros(5)
-    g = _score(x, th)
     jac = np.concatenate([th[:4], [th[4] * (1.0 - th[4])]])
-    return -ll, -g * jac
+    return -ll, -score * jac
 
 
-def _nll_eta4(eta4: np.ndarray, x: np.ndarray, p: float) -> tuple:
+def _nll_eta4(eta4: np.ndarray, p: float):
+    """As _nll_eta over the log shapes and scales, with p held fixed."""
     th = np.concatenate([np.exp(eta4), [p]])
-    ll = _loglik(x, th)
+    ll, score, _ = yield th
     if not math.isfinite(ll):
         return _HUGE_NLL, np.zeros(4)
-    g = _score(x, th)
-    return -ll, -(g[:4] * th[:4])
+    # Far out on a flat ridge the score times the parameter can overflow;
+    # the infinite gradient is what L-BFGS-B is meant to see there.
+    with np.errstate(over="ignore"):
+        return -ll, -(score[:4] * th[:4])
+
+
+def _lbfgsb(
+    objective, x0: np.ndarray, box: np.ndarray, maxiter: int, ftol: float, gtol: float = 1e-5
+):
+    """Minimize over the box |x_i| <= box_i with L-BFGS-B, as a generator.
+
+    Repeats the loop of scipy 1.17's ``minimize(method="L-BFGS-B")`` around
+    ``setulb`` with its defaults (m=10, maxls=20, maxfun=15000): x0 is
+    clipped to the box, a point equal to the last evaluated one is not
+    evaluated again, and the run stops once the iteration count reaches
+    ``maxiter``. Each evaluation is delegated to the generator
+    ``objective(x)``. Returns (x, f) as minimize reports them.
+    """
+    n = x0.size
+    m = _LBFGSB_M
+    lower, upper = -box, box
+    x = np.array(np.clip(x0, lower, upper), dtype=np.float64)
+    nbd = np.full(n, 2, dtype=np.int32)
+    f = 0.0
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    x_eval = None
+    n_evaluations = 0
+    n_iterations = 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(
+            m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave,
+            _LBFGSB_MAXLS, ln_task,
+        )
+        if task[0] == 3:  # FG: evaluate f and g at x
+            if x_eval is None or not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f_eval, g_eval = yield from objective(x_eval)
+                n_evaluations += 1
+            f, g = f_eval, g_eval
+        elif task[0] == 1:  # NEW_X: an iteration finished
+            n_iterations += 1
+            if n_iterations >= maxiter:
+                task[0], task[1] = 5, 504
+            elif n_evaluations > _LBFGSB_MAXFUN:
+                task[0], task[1] = 5, 502
+        else:
+            return x, f
+
+
+def _fit_start(theta0: np.ndarray, max_iterations: int):
+    """One start's schedule, as a generator over parameter rows to evaluate.
+
+    Up to four EM cycles (mean responsibility for p, then L-BFGS-B on the
+    four log shapes and scales), then L-BFGS-B on all five coordinates.
+    Receives (log-likelihood, score, responsibility mean) for each row it
+    yields; returns the final (theta, log-likelihood).
+    """
+    eta = _to_eta(theta0)
+    ll_prev = -math.inf
+    for _ in range(_EM_CYCLES):
+        _, _, resp = yield _from_eta(eta)
+        p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
+        eta[4] = float(logit(p_new))
+        eta[:4], nll = yield from _lbfgsb(
+            partial(_nll_eta4, p=p_new), eta[:4], _BOX4, maxiter=25, ftol=1e-12
+        )
+        ll = -float(nll)
+        if ll - ll_prev <= 1e-9 * (1.0 + abs(ll)):
+            break
+        ll_prev = ll
+    eta, nll = yield from _lbfgsb(
+        _nll_eta, eta, _BOX5, maxiter=max_iterations, ftol=1e-13, gtol=1e-9
+    )
+    return _from_eta(eta), -float(nll)
+
+
+def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> list:
+    """Run every start to its local optimum in lockstep: (theta, ll) per start.
+
+    Each round evaluates the rows that all unfinished starts are waiting on
+    as one batch and sends each start its own row.
+    """
+    runs = [_fit_start(theta0, config.max_iterations) for theta0 in starts]
+    results = [None] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        order = list(pending)
+        ll, score, resp = _evaluate(x, np.array([pending[i] for i in order]))
+        for i, ll_i, score_i, resp_i in zip(order, ll.tolist(), score, resp.tolist()):
+            try:
+                pending[i] = runs[i].send((ll_i, score_i, resp_i))
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
 
 
 def _moment_weibull(x: np.ndarray) -> tuple:
@@ -237,41 +360,6 @@ def _starting_points(x: np.ndarray, config: FitConfig) -> list:
     return starts[: config.n_starts]
 
 
-def _optimize_start(x: np.ndarray, theta0: np.ndarray, config: FitConfig) -> tuple:
-    eta = _to_eta(theta0)
-    bounds4 = [(-_ETA_BOUND, _ETA_BOUND)] * 4
-    bounds5 = bounds4 + [(-_LOGIT_BOUND, _LOGIT_BOUND)]
-    ll_prev = -math.inf
-    for _ in range(_EM_CYCLES):
-        p_new = min(max(_responsibility_mean(x, _from_eta(eta)), 1e-6), 1.0 - 1e-6)
-        eta[4] = float(logit(p_new))
-        res = minimize(
-            _nll_eta4,
-            eta[:4],
-            args=(x, p_new),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds4,
-            options={"maxiter": 25, "ftol": 1e-12},
-        )
-        eta[:4] = res.x
-        ll = -float(res.fun)
-        if ll - ll_prev <= 1e-9 * (1.0 + abs(ll)):
-            break
-        ll_prev = ll
-    res = minimize(
-        _nll_eta,
-        eta,
-        args=(x,),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds5,
-        options={"maxiter": config.max_iterations, "ftol": 1e-13, "gtol": 1e-9},
-    )
-    th = _from_eta(res.x)
-    return th, -float(res.fun)
-
-
 def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     """Best interior local maximum of the likelihood over all starts.
 
@@ -288,8 +376,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     starts = _starting_points(x, config)
     admissible = []
     n_boundary = 0
-    for theta0 in starts:
-        th, ll = _optimize_start(x, theta0, config)
+    for th, ll in _optimize_starts(x, starts, config):
         if not math.isfinite(ll):
             n_boundary += 1
             continue
@@ -303,7 +390,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
         )
     th_best, ll_best = max(admissible, key=lambda item: item[1])
     theta_hat = MixtureParams.from_array(th_best)
-    grad = _score(x, theta_hat.as_array())
+    grad = _evaluate(x, theta_hat.as_array()[None, :])[1][0]
     converged = bool(np.max(np.abs(grad)) < config.tolerance * sample.n)
     hess = hessian_at(theta_hat, sample)
     return FitResult(
@@ -323,22 +410,21 @@ def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
 
     Central finite differences of the analytic score, step
     h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
-    stay inside the parameter space), symmetrized.
+    stay inside the parameter space), symmetrized. The ten shifted
+    parameter rows are evaluated as one batch.
     """
     if not 0.0 < theta.p < 1.0:
         raise DomainError("Hessian requires an interior mixing proportion")
-    x = sample.values
     th = theta.as_array()
     h = np.maximum(1e-5, 1e-5 * np.abs(th))
     h[:4] = np.minimum(h[:4], 0.49 * th[:4])
     h[4] = min(h[4], 0.49 * min(theta.p, 1.0 - theta.p))
-    hess = np.empty((5, 5))
+    rows = np.repeat(th[None, :], 10, axis=0)
     for j in range(5):
-        tp = th.copy()
-        tm = th.copy()
-        tp[j] += h[j]
-        tm[j] -= h[j]
-        hess[:, j] = (_score(x, tp) - _score(x, tm)) / (2.0 * h[j])
+        rows[2 * j, j] += h[j]
+        rows[2 * j + 1, j] -= h[j]
+    score = _evaluate(sample.values, rows)[1]
+    hess = (score[0::2] - score[1::2]).T / (2.0 * h)
     if not np.all(np.isfinite(hess)):
         raise NonFiniteHessian("a second-derivative entry is not finite")
     return 0.5 * (hess + hess.T)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize
+from scipy.special import logit
 
 from wmixgof import (
     AllStartsFailed,
@@ -19,6 +24,7 @@ from wmixgof import (
     mixture_quantile,
     sample_mixture,
 )
+import wmixgof
 import wmixgof.estimation as estimation
 
 
@@ -138,7 +144,7 @@ class TestFitMle:
     def test_converged_means_small_score(self, fitted_pop3):
         sample, fit = fitted_pop3
         if fit.converged:
-            grad = estimation._score(sample.values, fit.theta_hat.as_array())
+            grad = estimation._evaluate(sample.values, fit.theta_hat.as_array()[None, :])[1][0]
             assert np.max(np.abs(grad)) < 1e-6 * sample.n
 
     def test_too_few_observations(self, populations):
@@ -147,10 +153,10 @@ class TestFitMle:
             fit_mle(sample)
 
     def test_all_starts_failed(self, populations, monkeypatch):
-        def boundary_start(x, theta0, config):
-            return np.array([1.0, 1.0, 1.0, 1.0, 1e-6]), -1.0
+        def boundary_starts(x, starts, config):
+            return [(np.array([1.0, 1.0, 1.0, 1.0, 1e-6]), -1.0) for _ in starts]
 
-        monkeypatch.setattr(estimation, "_optimize_start", boundary_start)
+        monkeypatch.setattr(estimation, "_optimize_starts", boundary_starts)
         sample = sample_mixture(populations[0].theta, 50, rng_seed=2)
         with pytest.raises(AllStartsFailed):
             fit_mle(sample, FitConfig(n_starts=3))
@@ -184,3 +190,208 @@ class TestHessian:
         sample = sample_mixture(theta, 50, rng_seed=9)
         with pytest.raises(DomainError):
             hessian_at(theta, sample)
+
+
+# Reference fitter: the multi-start fit as it ran before the starts were
+# batched, one scipy.optimize.minimize call per L-BFGS-B run and 1-D
+# arithmetic per parameter vector. The lockstep fitter must reproduce it
+# bit for bit; a scipy release that changes how setulb communicates with
+# its caller breaks this comparison first.
+
+
+def _ref_terms(x, th):
+    a1, a2, b1, b2, p = th
+    l1 = np.log(x / b1)
+    l2 = np.log(x / b2)
+    with np.errstate(over="ignore"):
+        u1 = np.exp(a1 * l1)
+        u2 = np.exp(a2 * l2)
+    lf1 = math.log(a1 / b1) + (a1 - 1.0) * l1 - u1
+    lf2 = math.log(a2 / b2) + (a2 - 1.0) * l2 - u2
+    t1 = (math.log(p) if p > 0.0 else -math.inf) + lf1
+    t2 = (math.log1p(-p) if p < 1.0 else -math.inf) + lf2
+    return lf1, lf2, t1, t2, estimation._logaddexp2way(t1, t2), u1, u2, l1, l2
+
+
+def _ref_loglik(x, th):
+    total = float(np.sum(_ref_terms(x, th)[4]))
+    return total if math.isfinite(total) else -math.inf
+
+
+def _ref_masked_dot(w, factor):
+    mask = w > 0.0
+    return float(np.sum(w[mask] * factor[mask])) if np.any(mask) else 0.0
+
+
+def _ref_score(x, th):
+    lf1, lf2, t1, t2, lse, u1, u2, l1, l2 = _ref_terms(x, th)
+    a1, a2, b1, b2, _ = th
+    with np.errstate(invalid="ignore", over="ignore"):
+        w1, w2, r1, r2 = (np.exp(t - lse) for t in (t1, t2, lf1, lf2))
+        w1, w2, r1, r2 = (np.where(np.isfinite(v), v, 0.0) for v in (w1, w2, r1, r2))
+        ta1 = 1.0 / a1 + l1 * (1.0 - u1)
+        tb1 = (a1 / b1) * (u1 - 1.0)
+        ta2 = 1.0 / a2 + l2 * (1.0 - u2)
+        tb2 = (a2 / b2) * (u2 - 1.0)
+        return np.array(
+            [
+                _ref_masked_dot(w1, ta1),
+                _ref_masked_dot(w2, ta2),
+                _ref_masked_dot(w1, tb1),
+                _ref_masked_dot(w2, tb2),
+                float(np.sum(r1 - r2)),
+            ]
+        )
+
+
+def _ref_responsibility_mean(x, th):
+    _, _, t1, _, lse, *_ = _ref_terms(x, th)
+    with np.errstate(invalid="ignore"):
+        w1 = np.exp(t1 - lse)
+    return float(np.mean(np.where(np.isfinite(w1), w1, 0.5)))
+
+
+def _ref_nll_eta(eta, x):
+    th = estimation._from_eta(eta)
+    ll = _ref_loglik(x, th)
+    if not math.isfinite(ll):
+        return estimation._HUGE_NLL, np.zeros(5)
+    jac = np.concatenate([th[:4], [th[4] * (1.0 - th[4])]])
+    return -ll, -_ref_score(x, th) * jac
+
+
+def _ref_nll_eta4(eta4, x, p):
+    th = np.concatenate([np.exp(eta4), [p]])
+    ll = _ref_loglik(x, th)
+    if not math.isfinite(ll):
+        return estimation._HUGE_NLL, np.zeros(4)
+    with np.errstate(over="ignore"):
+        return -ll, -(_ref_score(x, th)[:4] * th[:4])
+
+
+def _ref_optimize_start(x, theta0, config):
+    eta = estimation._to_eta(theta0)
+    bounds4 = [(-estimation._ETA_BOUND, estimation._ETA_BOUND)] * 4
+    bounds5 = bounds4 + [(-estimation._LOGIT_BOUND, estimation._LOGIT_BOUND)]
+    ll_prev = -math.inf
+    for _ in range(estimation._EM_CYCLES):
+        resp = _ref_responsibility_mean(x, estimation._from_eta(eta))
+        p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
+        eta[4] = float(logit(p_new))
+        res = minimize(
+            _ref_nll_eta4,
+            eta[:4],
+            args=(x, p_new),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds4,
+            options={"maxiter": 25, "ftol": 1e-12},
+        )
+        eta[:4] = res.x
+        ll = -float(res.fun)
+        if ll - ll_prev <= 1e-9 * (1.0 + abs(ll)):
+            break
+        ll_prev = ll
+    res = minimize(
+        _ref_nll_eta,
+        eta,
+        args=(x,),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds5,
+        options={"maxiter": config.max_iterations, "ftol": 1e-13, "gtol": 1e-9},
+    )
+    return estimation._from_eta(res.x), -float(res.fun)
+
+
+def _ref_fit(sample, config):
+    """(theta_hat, log-likelihood, hessian, local optima, boundary starts, converged)."""
+    x = sample.values
+    admissible, n_boundary = [], 0
+    for theta0 in estimation._starting_points(x, config):
+        th, ll = _ref_optimize_start(x, theta0, config)
+        if math.isfinite(ll) and 0.001 <= th[4] <= 0.999:
+            admissible.append((th, ll))
+        else:
+            n_boundary += 1
+    th_best, ll_best = max(admissible, key=lambda item: item[1])
+    theta_hat = MixtureParams.from_array(th_best)
+    th = theta_hat.as_array()
+    converged = bool(np.max(np.abs(_ref_score(x, th))) < config.tolerance * sample.n)
+    h = np.maximum(1e-5, 1e-5 * np.abs(th))
+    h[:4] = np.minimum(h[:4], 0.49 * th[:4])
+    h[4] = min(h[4], 0.49 * min(th[4], 1.0 - th[4]))
+    hess = np.empty((5, 5))
+    for j in range(5):
+        tp, tm = th.copy(), th.copy()
+        tp[j] += h[j]
+        tm[j] -= h[j]
+        hess[:, j] = (_ref_score(x, tp) - _ref_score(x, tm)) / (2.0 * h[j])
+    hess = 0.5 * (hess + hess.T)
+    return theta_hat, ll_best, hess, [ll for _, ll in admissible], n_boundary, converged
+
+
+_EQUIVALENCE_CASES = [(pop, n, 700 + 10 * pop + n // 100) for pop in range(5) for n in (100, 300)]
+_EQUIVALENCE_CASES.append((2, 1000, 799))
+
+
+class TestLockstepMatchesPerStartMinimize:
+    @pytest.mark.parametrize("pop_index, n, seed", _EQUIVALENCE_CASES)
+    def test_bit_identical_fit(self, populations, pop_index, n, seed):
+        sample = sample_mixture(populations[pop_index].theta, n, rng_seed=seed)
+        config = FitConfig(seed=seed)
+        fit = fit_mle(sample, config)
+        theta_hat, ll, hess, optima, n_boundary, converged = _ref_fit(sample, config)
+        assert fit.theta_hat.as_array().tobytes() == theta_hat.as_array().tobytes()
+        assert fit.log_likelihood == ll
+        assert fit.hessian.tobytes() == hess.tobytes()
+        assert fit.best_of_likelihoods == optima
+        assert fit.n_boundary_starts == n_boundary
+        assert fit.converged == converged
+
+    def test_batched_rows_match_single_rows(self, fitted_pop2):
+        sample, fit = fitted_pop2
+        rows = fit.theta_hat.as_array() * np.exp(np.linspace(-0.4, 0.4, 35).reshape(7, 5))
+        rows[:, 4] = np.linspace(0.0, 1.0, 7)
+        ll, score, resp = estimation._evaluate(sample.values, rows)
+        for i, row in enumerate(rows):
+            assert ll[i] == _ref_loglik(sample.values, row)
+            assert score[i].tobytes() == _ref_score(sample.values, row).tobytes()
+            assert resp[i] == _ref_responsibility_mean(sample.values, row)
+
+
+_FIT_SCRIPT = """
+import sys
+import numpy as np
+from wmixgof import FitConfig, benchmark_populations, fit_mle, sample_mixture
+pops = benchmark_populations()
+for pop_index, seed in ((0, 31), (1, 32), (4, 33)):
+    sample = sample_mixture(pops[pop_index].theta, 100, rng_seed=seed)
+    fit = fit_mle(sample, FitConfig(seed=seed))
+    arrays = (
+        fit.theta_hat.as_array(),
+        np.array([fit.log_likelihood, fit.n_boundary_starts, fit.converged], dtype=float),
+        fit.hessian,
+        np.array(fit.best_of_likelihoods),
+    )
+    sys.stdout.write(" ".join(a.tobytes().hex() for a in arrays) + "\\n")
+"""
+
+
+def test_fits_identical_across_blas_thread_counts():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wmixgof.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIT_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]

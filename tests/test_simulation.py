@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,12 @@ class TestRunStudy:
         hi = run_study(populations[1], 15, 80, first_rep=25, **kwargs)
         pooled = np.sort(np.concatenate([lo.p_values, hi.p_values]))
         assert np.array_equal(pooled, full.p_values)
+
+    def test_overflowing_score_raises_no_warning(self, populations):
+        # Replication 96 of this seed walks onto a flat ridge where the
+        # four-coordinate gradient overflows; the fit must stay silent and
+        # give the p-value it always gave.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
+        assert res.p_values.tolist() == [0.7197759499073868]
