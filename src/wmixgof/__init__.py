@@ -34,12 +34,9 @@ from .imhof import WeightedChiSquare, imhof_tail
 from .kernel_eigen import (
     EigenSpectrum,
     KernelMatrix,
-    PsiVector,
     brownian_bridge_q,
     build_q_matrix,
     eigen_spectrum,
-    psi_at,
-    rho_hat,
     simple_hypothesis_lambdas,
 )
 from .mixture_model import (
@@ -69,7 +66,6 @@ __all__ = [
     "MixtureParams",
     "NonFiniteHessian",
     "PopulationSpec",
-    "PsiVector",
     "QuadratureFailure",
     "Sample",
     "SingularInformation",
@@ -95,8 +91,6 @@ __all__ = [
     "mixture_pdf",
     "mixture_quantile",
     "pit",
-    "psi_at",
-    "rho_hat",
     "run_study",
     "sample_mixture",
     "simple_hypothesis_lambdas",

@@ -293,7 +293,12 @@ def cmd_test(
             "retained": [float(v) for v in spectrum.retained],
         },
         "p_value": p_value,
-        "diagnostics": {"quantile_inversion_failures": 0},
+        # A failed inversion raises ConvergenceError (exit 4), so a written
+        # report has none by construction.
+        "diagnostics": {
+            "quantile_inversion_failures": 0,
+            "quantile_bisection_fallbacks": q.n_bisection_fallbacks,
+        },
     }
     _emit(report, output)
 

@@ -21,8 +21,9 @@ start takes exactly the iterates it would take on its own.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize._lbfgsb import setulb
@@ -329,6 +330,57 @@ def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> list:
     return results
 
 
+@contextmanager
+def _one_scipy_blas_thread():
+    """Hold scipy's bundled OpenBLAS at one thread, then restore its count.
+
+    ``setulb`` calls BLAS on vectors of four or five entries, yet scipy's
+    OpenBLAS hands them to its thread pool, and the pool's threads go on
+    spinning after the fit and slow whatever runs next. The iterates do
+    not depend on the thread count. Where scipy has no bundled OpenBLAS
+    this does nothing.
+    """
+    threads = _scipy_openblas_threads()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+@cache
+def _scipy_openblas_threads():
+    """(get, set) thread-count functions of scipy's bundled OpenBLAS, or None."""
+    import ctypes
+    import os
+
+    import scipy
+
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    try:
+        names = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas")]
+    except OSError:
+        return None
+    if len(names) != 1:
+        return None
+    lib = ctypes.CDLL(os.path.join(libs, names[0]))
+    try:
+        get_threads, set_threads = (
+            lib.scipy_openblas_get_num_threads,
+            lib.scipy_openblas_set_num_threads,
+        )
+    except AttributeError:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
 def _moment_weibull(x: np.ndarray) -> tuple:
     """Rough single-Weibull shape/scale from the first two moments."""
     m = float(np.mean(x))
@@ -376,7 +428,9 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     starts = _starting_points(x, config)
     admissible = []
     n_boundary = 0
-    for th, ll in _optimize_starts(x, starts, config):
+    with _one_scipy_blas_thread():
+        optima = _optimize_starts(x, starts, config)
+    for th, ll in optima:
         if not math.isfinite(ll):
             n_boundary += 1
             continue

@@ -23,15 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EigenSolverFailure, SingularInformation
-from .mixture_model import MixtureParams, cdf_gradient, mixture_quantile
+from .mixture_model import MixtureParams, cdf_gradients, invert_cdf
 
 __all__ = [
-    "PsiVector",
     "KernelMatrix",
     "EigenSpectrum",
     "grid_points",
-    "psi_at",
-    "rho_hat",
     "build_q_matrix",
     "brownian_bridge_q",
     "eigen_spectrum",
@@ -42,31 +39,19 @@ INFO_MATRIX_MODES = ("inverse", "literal")
 
 
 @dataclass(frozen=True, eq=False)
-class PsiVector:
-    """Gradient of the model CDF by parameter, at one quantile level."""
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.components, dtype=float).ravel()
-        if c.size != 5 or not np.all(np.isfinite(c)):
-            raise DomainError("psi vector must hold five finite components")
-        c.setflags(write=False)
-        object.__setattr__(self, "components", c)
-
-
-@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Kernel values on the interior grid, scaled by the quadrature weight.
 
     entries[i, j] = rho(s_i, s_j) / (m + 1) with s_i = i/(m+1). The grid
     spacing 1/(m+1) is the trapezoid weight of the interior nodes (the
     kernel vanishes on the boundary of the square, so the end corrections
-    drop out).
+    drop out). ``n_bisection_fallbacks`` counts the grid levels whose
+    quantile inversion fell back from the secant to bisection.
     """
 
     m: int
     entries: np.ndarray
+    n_bisection_fallbacks: int = 0
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries, dtype=float)
@@ -107,23 +92,6 @@ def grid_points(m: int) -> np.ndarray:
     return np.arange(1, m + 1) / (m + 1.0)
 
 
-def psi_at(s: float, theta_hat: MixtureParams) -> PsiVector:
-    """CDF gradient evaluated at the s-quantile of the fitted mixture."""
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise DomainError("s must lie strictly inside (0, 1)")
-    x = mixture_quantile(s, theta_hat)
-    return PsiVector(cdf_gradient(x, theta_hat).as_array())
-
-
-def rho_hat(s: float, t: float, theta_hat: MixtureParams, inv_info: np.ndarray) -> float:
-    """Estimated covariance kernel min(s,t) - s*t - Psi(s)' inv_info Psi(t)."""
-    ps = psi_at(s, theta_hat).components
-    pt = psi_at(t, theta_hat).components
-    inv_info = np.asarray(inv_info, dtype=float)
-    return float(min(s, t) - s * t - ps @ inv_info @ pt)
-
-
 def build_q_matrix(
     theta_hat: MixtureParams,
     hessian: np.ndarray,
@@ -140,7 +108,8 @@ def build_q_matrix(
     the form that reproduces the known kernels of fully worked cases;
     ``literal`` uses -H/n itself for side-by-side comparison.
 
-    Psi is evaluated once per grid point: m quantile inversions total.
+    Psi is the CDF gradient at the fitted quantiles of all m grid levels,
+    found by one array inversion of the fitted CDF.
     """
     if info_matrix_mode not in INFO_MATRIX_MODES:
         raise DomainError(f"info_matrix_mode must be one of {INFO_MATRIX_MODES}")
@@ -162,13 +131,17 @@ def build_q_matrix(
     correction = np.linalg.inv(info) if info_matrix_mode == "inverse" else info
 
     s = grid_points(m)
-    psi = np.empty((m, 5))
-    for i in range(m):
-        psi[i] = psi_at(float(s[i]), theta_hat).components
-    bridge = np.minimum.outer(s, s) - np.outer(s, s)
-    q = (bridge - psi @ correction @ psi.T) / (m + 1.0)
-    q = 0.5 * (q + q.T)
-    return KernelMatrix(m=m, entries=q)
+    x, n_bisected = invert_cdf(s, theta_hat)
+    psi = cdf_gradients(x, theta_hat)
+    # (bridge - Psi C Psi') / (m + 1), built in place: at m = 1000 every
+    # m-by-m temporary costs about a millisecond
+    q = np.minimum.outer(s, s)
+    q -= np.outer(s, s)
+    q -= psi @ correction @ psi.T
+    q /= m + 1.0
+    q = np.add(q, q.T)
+    q *= 0.5
+    return KernelMatrix(m=m, entries=q, n_bisection_fallbacks=n_bisected)
 
 
 def brownian_bridge_q(m: int) -> KernelMatrix:

@@ -26,7 +26,9 @@ __all__ = [
     "mixture_pdf",
     "mixture_cdf",
     "mixture_quantile",
+    "invert_cdf",
     "cdf_gradient",
+    "cdf_gradients",
     "sample_mixture",
     "DEFAULT_QUANTILE_EPS",
 ]
@@ -167,24 +169,20 @@ def mixture_cdf(x, theta: MixtureParams):
 
     Accepts a scalar or an array; returns a float for scalar input.
     """
-    arr = _as_positive(x)
-    with np.errstate(over="ignore", under="ignore"):
-        c = theta.p * _weibull_cdf(arr, theta.alpha1, theta.beta1) + (
-            1.0 - theta.p
-        ) * _weibull_cdf(arr, theta.alpha2, theta.beta2)
+    c = _cdf(_as_positive(x), theta)
     return float(c) if np.ndim(x) == 0 else c
+
+
+def _cdf(x: np.ndarray, theta: MixtureParams) -> np.ndarray:
+    with np.errstate(over="ignore", under="ignore"):
+        return theta.p * _weibull_cdf(x, theta.alpha1, theta.beta1) + (
+            1.0 - theta.p
+        ) * _weibull_cdf(x, theta.alpha2, theta.beta2)
 
 
 def _weibull_cdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     u = np.exp(_weibull_logpower(x, alpha, beta))
     return -np.expm1(-u)
-
-
-def _cdf_scalar(x: float, theta: MixtureParams) -> float:
-    with np.errstate(over="ignore", under="ignore"):
-        return theta.p * float(_weibull_cdf(np.float64(x), theta.alpha1, theta.beta1)) + (
-            1.0 - theta.p
-        ) * float(_weibull_cdf(np.float64(x), theta.alpha2, theta.beta2))
 
 
 def mixture_quantile(
@@ -193,82 +191,125 @@ def mixture_quantile(
     eps: float = DEFAULT_QUANTILE_EPS,
     max_iter: int = _MAX_SECANT_ITER,
 ) -> float:
-    """Invert the mixture CDF at t in (0, 1) by the secant method.
+    """Invert the mixture CDF at one level t in (0, 1); see ``invert_cdf``."""
+    x, _ = invert_cdf(np.array([float(t)]), theta, eps, max_iter)
+    return float(x[0])
 
+
+def invert_cdf(
+    levels,
+    theta: MixtureParams,
+    eps: float = DEFAULT_QUANTILE_EPS,
+    max_iter: int = _MAX_SECANT_ITER,
+) -> tuple[np.ndarray, int]:
+    """Invert the mixture CDF at a 1-D array of levels in (0, 1) at once.
+
+    Returns the quantiles and the number of levels that needed bisection.
     The single-component quantiles beta_i * (-log(1-t))**(1/alpha_i) start
-    the iteration; in practice they bracket the root. Iteration stops once
-    two consecutive points are within ``eps`` and the residual is
-    negligible. If the secant cycles or leaves (0, inf), a bisection on a
-    geometrically grown bracket finishes the job.
+    a secant iteration that runs on all levels in lockstep; in practice
+    they bracket the root. A level leaves the iteration once two
+    consecutive points are within ``eps`` and the residual is negligible.
+    Levels whose secant cycles or leaves (0, inf) are finished together by
+    a bisection on a geometrically grown bracket.
     """
-    t = float(t)
-    if not math.isfinite(t) or not 0.0 < t < 1.0:
-        raise DomainError("quantile level t must lie strictly inside (0, 1)")
+    t = np.asarray(levels, dtype=float)
+    if t.ndim != 1 or not np.all((t > 0.0) & (t < 1.0)):
+        raise DomainError("quantile levels must lie strictly inside (0, 1)")
     if eps <= 0.0:
         raise DomainError("eps must be positive")
 
-    def g(x: float) -> float:
-        return _cdf_scalar(x, theta) - t
-
-    w = -math.log1p(-t)
+    w = -np.log1p(-t)
     x0 = theta.beta1 * w ** (1.0 / theta.alpha1)
     x1 = theta.beta2 * w ** (1.0 / theta.alpha2)
-    if x0 == x1:
-        x1 = x0 * (1.0 + 1e-6)
+    x1 = np.where(x0 == x1, x0 * (1.0 + 1e-6), x1)
 
+    x = np.empty_like(t)
+    solved = np.zeros(t.size, dtype=bool)
+    idx = np.arange(t.size)
     a, b = x0, x1
-    ga, gb = g(a), g(b)
+    ga, gb = _cdf(a, theta) - t, _cdf(b, theta) - t
     for _ in range(max_iter):
-        if gb == ga:
+        if idx.size == 0:
             break
-        c = (a * gb - b * ga) / (gb - ga)
-        if not math.isfinite(c) or c <= 0.0:
-            break
-        gc = g(c)
-        if abs(c - b) < eps and abs(gc) < _RESIDUAL_TOL:
-            return c
-        a, ga = b, gb
-        b, gb = c, gc
-    return _bisect_quantile(g, x0, x1, eps)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            c = (a * gb - b * ga) / (gb - ga)
+        # levels whose secant gives up drop out here and go to bisection
+        go = (gb != ga) & np.isfinite(c) & (c > 0.0)
+        idx, a, b, ga, gb, c = idx[go], a[go], b[go], ga[go], gb[go], c[go]
+        gc = _cdf(c, theta) - t[idx]
+        done = (np.abs(c - b) < eps) & (np.abs(gc) < _RESIDUAL_TOL)
+        x[idx[done]] = c[done]
+        solved[idx[done]] = True
+        go = ~done
+        idx, a, ga, b, gb = idx[go], b[go], gb[go], c[go], gc[go]
+
+    bisect = np.flatnonzero(~solved)
+    if bisect.size:
+        x[bisect] = _bisect_quantiles(t[bisect], x0[bisect], x1[bisect], theta, eps)
+    x.setflags(write=False)
+    return x, int(bisect.size)
 
 
-def _bisect_quantile(g, x0: float, x1: float, eps: float) -> float:
-    lo, hi = min(x0, x1), max(x0, x1)
-    glo, ghi = g(lo), g(hi)
+def _bisect_quantiles(
+    t: np.ndarray, x0: np.ndarray, x1: np.ndarray, theta: MixtureParams, eps: float
+) -> np.ndarray:
+    """Bisection at every level at once, each with its own bracket."""
+
+    def g(x, i):
+        return _cdf(x, theta) - t[i]
+
+    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+    glo, ghi = _cdf(lo, theta) - t, _cdf(hi, theta) - t
     for _ in range(_MAX_BISECT_ITER):
-        if glo <= 0.0:
+        i = np.flatnonzero(glo > 0.0)
+        if i.size == 0:
             break
-        hi, ghi = lo, glo
-        lo *= 0.5
-        glo = g(lo)
+        hi[i], ghi[i] = lo[i], glo[i]
+        lo[i] *= 0.5
+        glo[i] = g(lo[i], i)
     else:
         raise ConvergenceError("could not bracket the quantile from below")
     for _ in range(_MAX_BISECT_ITER):
-        if ghi >= 0.0:
+        i = np.flatnonzero(ghi < 0.0)
+        if i.size == 0:
             break
-        lo, glo = hi, ghi
-        hi *= 2.0
-        ghi = g(hi)
+        lo[i], glo[i] = hi[i], ghi[i]
+        hi[i] *= 2.0
+        ghi[i] = g(hi[i], i)
     else:
         raise ConvergenceError("could not bracket the quantile from above")
+
     mid = 0.5 * (lo + hi)
+    active = np.ones(t.size, dtype=bool)
+    solved = np.zeros(t.size, dtype=bool)
     for _ in range(_MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # bracket is at floating-point resolution
-        gm = g(mid)
-        if gm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < eps and abs(gm) <= _RESIDUAL_TOL:
-            return mid
-    if abs(g(mid)) <= 1e-8:
-        return mid
-    raise ConvergenceError("quantile inversion did not converge")
+        i = np.flatnonzero(active)
+        if i.size == 0:
+            break
+        mid[i] = 0.5 * (lo[i] + hi[i])
+        # a bracket at floating-point resolution stops its level
+        inside = (lo[i] < mid[i]) & (mid[i] < hi[i])
+        active[i[~inside]] = False
+        i = i[inside]
+        gm = g(mid[i], i)
+        below = gm < 0.0
+        lo[i[below]] = mid[i[below]]
+        hi[i[~below]] = mid[i[~below]]
+        done = (hi[i] - lo[i] < eps) & (np.abs(gm) <= _RESIDUAL_TOL)
+        active[i[done]] = False
+        solved[i[done]] = True
+    rest = np.flatnonzero(~solved)
+    if np.any(np.abs(g(mid[rest], rest)) > 1e-8):
+        raise ConvergenceError("quantile inversion did not converge")
+    return mid
 
 
 def cdf_gradient(x: float, theta: MixtureParams) -> GradF:
+    """Gradient of the mixture CDF at one point; see ``cdf_gradients``."""
+    return GradF(*cdf_gradients(float(x), theta).tolist())
+
+
+def cdf_gradients(x, theta: MixtureParams) -> np.ndarray:
     """Gradient of the mixture CDF with respect to all five parameters.
 
     With u_i = (x/beta_i)**alpha_i and weights p1 = p, p2 = 1 - p:
@@ -276,25 +317,29 @@ def cdf_gradient(x: float, theta: MixtureParams) -> GradF:
         dF/dalpha_i = p_i * u_i * log(x/beta_i) * exp(-u_i)
         dF/dbeta_i  = -p_i * (alpha_i/beta_i) * u_i * exp(-u_i)
         dF/dp       = exp(-u_2) - exp(-u_1)
+
+    Accepts a scalar or an array of points x > 0; the last axis of the
+    result runs over (alpha1, alpha2, beta1, beta2, p).
     """
-    xv = float(x)
-    if not math.isfinite(xv) or xv <= 0.0:
-        raise DomainError("x must be strictly positive and finite")
+    xv = _as_positive(x)
     da1, db1, e1 = _component_partials(xv, theta.alpha1, theta.beta1)
     da2, db2, e2 = _component_partials(xv, theta.alpha2, theta.beta2)
     p, q = theta.p, 1.0 - theta.p
-    return GradF(p * da1, q * da2, p * db1, q * db2, e2 - e1)
+    return np.stack([p * da1, q * da2, p * db1, q * db2, e2 - e1], axis=-1)
 
 
-def _component_partials(x: float, alpha: float, beta: float):
+def _component_partials(x: np.ndarray, alpha: float, beta: float):
     """(dF/dalpha, dF/dbeta, survival) for one Weibull component, weight 1."""
-    logx = math.log(x / beta)
+    logx = np.log(x / beta)
     t = alpha * logx
-    if t > _EXP_OVERFLOW:
-        return 0.0, 0.0, 0.0
-    u = math.exp(t)
-    su = math.exp(-u)
-    return u * logx * su, -(alpha / beta) * u * su, su
+    # past the overflow point every term carries exp(-u) == 0
+    inside = t <= _EXP_OVERFLOW
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(np.where(inside, t, 0.0))
+        su = np.exp(-u)
+        da = u * logx * su
+        db = -(alpha / beta) * u * su
+    return np.where(inside, da, 0.0), np.where(inside, db, 0.0), np.where(inside, su, 0.0)
 
 
 def sample_mixture(theta: MixtureParams, n: int, rng_seed: int, label: str = "") -> Sample:

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wmixgof import benchmark_populations, sample_mixture
+from wmixgof import (
+    FitConfig,
+    Sample,
+    benchmark_populations,
+    build_q_matrix,
+    fit_mle,
+    sample_mixture,
+)
 from wmixgof.cli import main, read_observations, DataFileError
+import wmixgof.mixture_model as mixture_model
 
 
 @pytest.fixture
@@ -102,6 +110,27 @@ class TestCmdTest:
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["command"] == "test"
+
+    def test_reports_bisection_fallbacks(self, runner, pop5_file):
+        result = runner.invoke(main, ["test", "-i", pop5_file, "--seed", "3", "-m", "200"])
+        assert result.exit_code == 0
+        diagnostics = json.loads(result.output)["diagnostics"]
+        sample = Sample(read_observations(pop5_file))
+        fit = fit_mle(sample, FitConfig(seed=3))
+        q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200)
+        assert q.n_bisection_fallbacks > 0
+        assert diagnostics == {
+            "quantile_inversion_failures": 0,
+            "quantile_bisection_fallbacks": q.n_bisection_fallbacks,
+        }
+
+    def test_quantile_inversion_failure_exits_4(self, runner, pop5_file, monkeypatch):
+        # the secant never meets its residual test and bisection cannot bracket
+        monkeypatch.setattr(mixture_model, "_RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(mixture_model, "_MAX_BISECT_ITER", 0)
+        result = runner.invoke(main, ["test", "-i", pop5_file, "--seed", "3", "-m", "50"])
+        assert result.exit_code == 4
+        assert "error: kernel: could not bracket the quantile" in result.output
 
     def test_lognormal_misfit_rejected_in_clear_majority(self, runner, tmp_path):
         rejections = 0

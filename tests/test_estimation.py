@@ -378,14 +378,33 @@ for pop_index, seed in ((0, 31), (1, 32), (4, 33)):
 """
 
 
-def test_fits_identical_across_blas_thread_counts():
+_KERNEL_SCRIPT = """
+import hashlib
+import sys
+from wmixgof import FitConfig, benchmark_populations, build_q_matrix, fit_mle, sample_mixture
+from wmixgof.kernel_eigen import grid_points
+from wmixgof.mixture_model import cdf_gradients, invert_cdf
+pops = benchmark_populations()
+for pop_index, seed in ((0, 41), (2, 42), (4, 43)):
+    sample = sample_mixture(pops[pop_index].theta, 300, rng_seed=seed)
+    fit = fit_mle(sample, FitConfig(seed=seed))
+    x, _ = invert_cdf(grid_points(1000), fit.theta_hat)
+    psi = cdf_gradients(x, fit.theta_hat)
+    q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1000)
+    digests = (hashlib.sha256(a.tobytes()).hexdigest() for a in (psi, q.entries))
+    sys.stdout.write(" ".join(digests) + "\\n")
+"""
+
+
+def _outputs_under_blas_threads(script):
+    """Standard output of ``script`` run with OPENBLAS_NUM_THREADS=1 and =2."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(wmixgof.__file__)))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", _FIT_SCRIPT],
+            [sys.executable, "-c", script],
             env=env,
             capture_output=True,
             text=True,
@@ -393,5 +412,41 @@ def test_fits_identical_across_blas_thread_counts():
             check=True,
         )
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_fits_identical_across_blas_thread_counts():
+    outputs = _outputs_under_blas_threads(_FIT_SCRIPT)
     assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
+
+
+def test_kernels_identical_across_blas_thread_counts():
+    outputs = _outputs_under_blas_threads(_KERNEL_SCRIPT)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_lbfgsb_runs_on_one_scipy_blas_thread(monkeypatch, fitted_pop1):
+    threads = estimation._scipy_openblas_threads()
+    if threads is None:
+        pytest.skip("scipy has no bundled OpenBLAS here")
+    get_threads, set_threads = threads
+    outer = get_threads()
+    seen = []
+    original = estimation._evaluate
+
+    def recording(x, rows):
+        seen.append(get_threads())
+        return original(x, rows)
+
+    monkeypatch.setattr(estimation, "_evaluate", recording)
+    sample, fit = fitted_pop1
+    set_threads(2)
+    try:
+        again = fit_mle(sample, FitConfig(seed=21))
+        assert get_threads() == 2
+    finally:
+        set_threads(outer)
+    assert seen[0] == 1
+    assert again.theta_hat.as_array().tobytes() == fit.theta_hat.as_array().tobytes()

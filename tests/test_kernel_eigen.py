@@ -5,19 +5,25 @@ import pytest
 
 from wmixgof import (
     DomainError,
+    FitConfig,
     KernelMatrix,
     SingularInformation,
+    WeightedChiSquare,
     brownian_bridge_q,
     build_q_matrix,
-    cdf_gradient,
+    cvm_statistic,
     eigen_spectrum,
+    fit_mle,
+    imhof_tail,
     mixture_cdf,
-    mixture_quantile,
-    psi_at,
-    rho_hat,
+    pit,
+    sample_mixture,
     simple_hypothesis_lambdas,
 )
+from wmixgof.kernel_eigen import grid_points
+from wmixgof.mixture_model import DEFAULT_QUANTILE_EPS, cdf_gradients, invert_cdf
 import wmixgof.kernel_eigen as kernel_eigen
+import wmixgof.mixture_model as mixture_model
 
 
 def bridge_eigen_errors(m, count=10):
@@ -26,11 +32,135 @@ def bridge_eigen_errors(m, count=10):
     return np.abs(spec.lambdas[:count] - exact) / exact
 
 
+def psi(levels, theta):
+    """Psi at each level: the CDF gradient at the fitted quantile, one row per level."""
+    x, _ = invert_cdf(np.asarray(levels, dtype=float), theta)
+    return cdf_gradients(x, theta)
+
+
+# Reference: the per-point scalar path that build_q_matrix ran before the
+# whole grid was inverted at once (one secant, then bisection if the secant
+# gives up, then the scalar CDF gradient, for each level in turn).
+
+
+def _ref_cdf(x, theta):
+    def component(alpha, beta):
+        return float(-np.expm1(-np.exp(alpha * np.log(np.float64(x) / beta))))
+
+    with np.errstate(over="ignore", under="ignore"):
+        return theta.p * component(theta.alpha1, theta.beta1) + (1.0 - theta.p) * component(
+            theta.alpha2, theta.beta2
+        )
+
+
+def _ref_quantile(t, theta, eps=DEFAULT_QUANTILE_EPS, max_iter=200):
+    """(quantile, whether the secant handed the level to bisection)."""
+
+    def g(x):
+        return _ref_cdf(x, theta) - t
+
+    w = -math.log1p(-t)
+    x0 = theta.beta1 * w ** (1.0 / theta.alpha1)
+    x1 = theta.beta2 * w ** (1.0 / theta.alpha2)
+    if x0 == x1:
+        x1 = x0 * (1.0 + 1e-6)
+    a, b = x0, x1
+    ga, gb = g(a), g(b)
+    for _ in range(max_iter):
+        if gb == ga:
+            break
+        c = (a * gb - b * ga) / (gb - ga)
+        if not math.isfinite(c) or c <= 0.0:
+            break
+        gc = g(c)
+        if abs(c - b) < eps and abs(gc) < 1e-10:
+            return c, False
+        a, ga = b, gb
+        b, gb = c, gc
+    return _ref_bisect(g, x0, x1, eps), True
+
+
+def _ref_bisect(g, x0, x1, eps):
+    lo, hi = min(x0, x1), max(x0, x1)
+    glo, ghi = g(lo), g(hi)
+    for _ in range(300):
+        if glo <= 0.0:
+            break
+        hi, ghi = lo, glo
+        lo *= 0.5
+        glo = g(lo)
+    else:
+        raise AssertionError("reference could not bracket from below")
+    for _ in range(300):
+        if ghi >= 0.0:
+            break
+        lo, glo = hi, ghi
+        hi *= 2.0
+        ghi = g(hi)
+    else:
+        raise AssertionError("reference could not bracket from above")
+    mid = 0.5 * (lo + hi)
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        gm = g(mid)
+        if gm < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < eps and abs(gm) <= 1e-10:
+            return mid
+    assert abs(g(mid)) <= 1e-8
+    return mid
+
+
+def _ref_cdf_gradient(x, theta):
+    def partials(alpha, beta):
+        logx = math.log(x / beta)
+        t = alpha * logx
+        if t > 709.0:
+            return 0.0, 0.0, 0.0
+        u = math.exp(t)
+        su = math.exp(-u)
+        return u * logx * su, -(alpha / beta) * u * su, su
+
+    da1, db1, e1 = partials(theta.alpha1, theta.beta1)
+    da2, db2, e2 = partials(theta.alpha2, theta.beta2)
+    p, q = theta.p, 1.0 - theta.p
+    return np.array([p * da1, q * da2, p * db1, q * db2, e2 - e1])
+
+
+def _ref_kernel(theta, hessian, n, m, max_iter=200):
+    """(quantiles, Psi, kernel entries, levels sent to bisection), level by level."""
+    s = grid_points(m)
+    x = np.empty(m)
+    psi_rows = np.empty((m, 5))
+    n_bisected = 0
+    for i in range(m):
+        x[i], bisected = _ref_quantile(float(s[i]), theta, max_iter=max_iter)
+        n_bisected += bisected
+        psi_rows[i] = _ref_cdf_gradient(x[i], theta)
+    info = -np.asarray(hessian, dtype=float) / float(n)
+    info = 0.5 * (info + info.T)
+    bridge = np.minimum.outer(s, s) - np.outer(s, s)
+    q = (bridge - psi_rows @ np.linalg.inv(info) @ psi_rows.T) / (m + 1.0)
+    return x, psi_rows, 0.5 * (q + q.T), n_bisected
+
+
+def _p_value(entries, w2):
+    spectrum = eigen_spectrum(KernelMatrix(m=entries.shape[0], entries=entries))
+    return imhof_tail(WeightedChiSquare(spectrum.retained), w2)
+
+
+# A huge information makes the correction Psi' I^{-1} Psi vanish.
+_VANISHING_CORRECTION = -1e30 * np.eye(5)
+
+
 class TestPsiAt:
     def test_vanishes_toward_boundaries(self, populations):
         theta = populations[1].theta
-        for s in (1e-6, 1 - 1e-6):
-            assert np.all(np.abs(psi_at(s, theta).components) < 1e-3)
+        assert np.all(np.abs(psi([1e-6, 1 - 1e-6], theta)) < 1e-3)
 
     def test_p_component_vanishes_where_component_cdfs_cross(self, populations):
         theta = populations[0].theta  # components (3, 0.9) and (2, 3)
@@ -39,39 +169,40 @@ class TestPsiAt:
             1.0 / (theta.alpha1 - theta.alpha2)
         )
         s_cross = mixture_cdf(x_cross, theta)
-        assert abs(psi_at(s_cross, theta).components[4]) < 1e-6
+        assert abs(psi([s_cross], theta)[0, 4]) < 1e-6
 
     def test_composes_quantile_and_gradient(self, populations):
         theta = populations[2].theta
-        x = mixture_quantile(0.5, theta)
-        expected = cdf_gradient(x, theta).as_array()
-        assert psi_at(0.5, theta).components == pytest.approx(expected, abs=1e-6)
+        x, _ = _ref_quantile(0.5, theta)
+        expected = _ref_cdf_gradient(x, theta)
+        assert psi([0.5], theta)[0] == pytest.approx(expected, abs=1e-6)
 
     def test_rejects_boundary_levels(self, populations):
         with pytest.raises(DomainError):
-            psi_at(0.0, populations[0].theta)
+            psi([0.0, 0.5], populations[0].theta)
         with pytest.raises(DomainError):
-            psi_at(1.0, populations[0].theta)
+            psi([0.5, 1.0], populations[0].theta)
 
 
 class TestRhoHat:
     def test_zero_correction_gives_brownian_bridge(self, populations):
         theta = populations[1].theta
-        zero = np.zeros((5, 5))
-        for s, t in [(0.2, 0.7), (0.5, 0.5), (0.9, 0.1)]:
-            assert rho_hat(s, t, theta, zero) == pytest.approx(min(s, t) - s * t, rel=1e-12)
+        m = 9
+        q = build_q_matrix(theta, _VANISHING_CORRECTION, 1, m)
+        assert q.entries == pytest.approx(brownian_bridge_q(m).entries, rel=1e-12)
 
     def test_center_value(self, populations):
-        zero = np.zeros((5, 5))
-        assert rho_hat(0.5, 0.5, populations[0].theta, zero) == pytest.approx(0.25)
+        q = build_q_matrix(populations[0].theta, _VANISHING_CORRECTION, 1, 3)
+        assert q.entries[1, 1] * 4 == pytest.approx(0.25)
 
     def test_symmetric_on_fitted_parameters(self, fitted_pop2, rng):
         sample, fit = fitted_pop2
         inv_info = np.linalg.inv(-fit.hessian / sample.n)
-        for _ in range(10):
-            s, t = rng.random(2) * 0.98 + 0.01
-            left = rho_hat(float(s), float(t), fit.theta_hat, inv_info)
-            right = rho_hat(float(t), float(s), fit.theta_hat, inv_info)
+        levels = rng.random((10, 2)) * 0.98 + 0.01
+        rows = psi(levels.ravel(), fit.theta_hat).reshape(10, 2, 5)
+        for (s, t), (ps, pt) in zip(levels, rows):
+            left = min(s, t) - s * t - ps @ inv_info @ pt
+            right = min(t, s) - t * s - pt @ inv_info @ ps
             assert abs(left - right) < 1e-10
 
 
@@ -97,18 +228,20 @@ class TestBuildQMatrix:
         assert np.all(composite <= simple + 1e-8)
 
     def test_psi_evaluated_once_per_grid_point(self, fitted_pop1, monkeypatch):
+        # one array inversion covers all m grid levels, each exactly once
         sample, fit = fitted_pop1
-        calls = {"n": 0}
-        original = kernel_eigen.psi_at
+        calls = []
+        original = kernel_eigen.invert_cdf
 
-        def counting(s, theta_hat):
-            calls["n"] += 1
-            return original(s, theta_hat)
+        def counting(levels, theta):
+            calls.append(np.array(levels))
+            return original(levels, theta)
 
-        monkeypatch.setattr(kernel_eigen, "psi_at", counting)
+        monkeypatch.setattr(kernel_eigen, "invert_cdf", counting)
         m = 40
         build_q_matrix(fit.theta_hat, fit.hessian, sample.n, m)
-        assert calls["n"] == m
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], grid_points(m))
 
     def test_singular_information_raises(self, fitted_pop1):
         sample, fit = fitted_pop1
@@ -129,6 +262,62 @@ class TestBuildQMatrix:
         sample, fit = fitted_pop1
         with pytest.raises(DomainError):
             build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1)
+
+
+@pytest.fixture(scope="module")
+def fits_n1000(populations):
+    """One n=1000 fit per population; populations 4 and 5 need bisection."""
+    out = {}
+    for index, spec in enumerate(populations):
+        seed = 810 + index
+        sample = sample_mixture(spec.theta, 1000, rng_seed=seed)
+        out[index] = (sample, fit_mle(sample, FitConfig(seed=seed)))
+    return out
+
+
+class TestArrayInversionMatchesScalarLoop:
+    @pytest.mark.parametrize("m", [200, 1000])
+    @pytest.mark.parametrize("pop_index", range(5))
+    def test_matches_reference(self, fits_n1000, pop_index, m):
+        sample, fit = fits_n1000[pop_index]
+        theta = fit.theta_hat
+        x_ref, psi_ref, q_ref, n_bisected_ref = _ref_kernel(theta, fit.hessian, sample.n, m)
+        x, n_bisected = invert_cdf(grid_points(m), theta)
+        q = build_q_matrix(theta, fit.hessian, sample.n, m)
+        assert n_bisected == q.n_bisection_fallbacks == n_bisected_ref
+        if pop_index >= 3:
+            assert n_bisected > 0
+        assert np.all(np.abs(x - x_ref) <= 1e-13 * x_ref)
+        assert np.max(np.abs(cdf_gradients(x, theta) - psi_ref)) <= 1e-14
+        assert np.max(np.abs(q.entries - q_ref)) <= 1e-14
+        w2 = cvm_statistic(pit(sample, theta))
+        assert abs(_p_value(q.entries, w2) - _p_value(q_ref, w2)) <= 1e-12
+
+    def test_all_levels_through_bisection(self, fits_n1000):
+        # with no secant steps allowed, the secant gives up on every level
+        _, fit = fits_n1000[1]
+        theta = fit.theta_hat
+        s = grid_points(200)
+        x, n_bisected = invert_cdf(s, theta, max_iter=0)
+        x_ref = np.array([_ref_quantile(float(t), theta, max_iter=0)[0] for t in s])
+        assert n_bisected == s.size
+        assert np.all(np.abs(x - x_ref) <= 1e-13 * x_ref)
+        assert np.all(np.abs(mixture_cdf(x, theta) - s) <= 1e-8)
+
+    def test_bracket_growth_matches_reference(self, fits_n1000):
+        # the single-component quantiles always bracket the root up to
+        # rounding, so brackets that miss it are set up by hand
+        _, fit = fits_n1000[4]
+        theta = fit.theta_hat
+        s = grid_points(50)
+        x, _ = invert_cdf(s, theta)
+        for lo, hi in ((5.0 * x, 6.0 * x), (x / 6.0, x / 5.0)):
+            got = mixture_model._bisect_quantiles(s, lo, hi, theta, DEFAULT_QUANTILE_EPS)
+            want = [
+                _ref_bisect(lambda v, t=t: _ref_cdf(v, theta) - t, a, b, DEFAULT_QUANTILE_EPS)
+                for t, a, b in zip(s.tolist(), lo.tolist(), hi.tolist())
+            ]
+            assert np.all(np.abs(got - want) <= 1e-13 * x)
 
 
 class TestEigenSpectrum:

@@ -108,8 +108,10 @@ class TestRunStudy:
     def test_overflowing_score_raises_no_warning(self, populations):
         # Replication 96 of this seed walks onto a flat ridge where the
         # four-coordinate gradient overflows; the fit must stay silent and
-        # give the p-value it always gave.
+        # give the same p-value every time. The per-point scalar kernel gave
+        # 0.7197759499073868; the array kernel's vector log and exp put it
+        # one ulp lower.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
-        assert res.p_values.tolist() == [0.7197759499073868]
+        assert res.p_values.tolist() == [0.7197759499073867]
