@@ -17,17 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AllStartsFailed,
-    ConvergenceError,
-    DomainError,
-    EigenSolverFailure,
-    NonFiniteHessian,
-    QuadratureFailure,
-    SingularInformation,
-    StudyAborted,
-    TooFewObservations,
-)
+from .errors import DomainError, StudyAborted, WmixgofError
 from .estimation import FitConfig, FitResult, fit_mle
 from .gof_statistic import cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
@@ -43,15 +33,10 @@ from .simulation import PopulationSpec, benchmark_populations, run_study
 EXIT_PARSE = 2
 EXIT_FIT = 3
 EXIT_KERNEL = 4
+_STAGE_EXITS = {"fit": EXIT_FIT, "kernel": EXIT_KERNEL}
 
-_FIT_ERRORS = (TooFewObservations, AllStartsFailed)
-_KERNEL_ERRORS = (
-    SingularInformation,
-    ConvergenceError,
-    EigenSolverFailure,
-    NonFiniteHessian,
-    QuadratureFailure,
-)
+# Parameters echoed under another name in a report's config section.
+_ECHO_NAMES = {"input_path": "input", "theta_text": "theta"}
 
 
 class DataFileError(Exception):
@@ -137,6 +122,29 @@ def _parse_theta(text: str) -> MixtureParams:
         raise click.UsageError(f"invalid --theta: {exc}") from exc
 
 
+def _config_echo() -> dict:
+    """The running command's effective parameters, in declaration order."""
+    ctx = click.get_current_context()
+    return {
+        _ECHO_NAMES.get(p.name, p.name): ctx.params[p.name]
+        for p in ctx.command.params
+        if p.name != "output"
+    }
+
+
+def _options(*options):
+    """Apply click options so that they are declared, and echoed, in the given order."""
+
+    def decorate(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+
+    return decorate
+
+
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
 seed_option = click.option(
     "--seed",
     type=int,
@@ -148,29 +156,46 @@ seed_option = click.option(
 output_option = click.option(
     "--output", "-o", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here instead of stdout."
 )
+input_option = click.option("--input", "-i", "input_path", required=True, type=click.Path())
+fit_options = _options(
+    click.option("--n-starts", type=click.IntRange(min=1), default=10, show_default=True),
+    click.option("--tolerance", type=_POSITIVE, default=1e-6, show_default=True),
+    click.option("--max-iterations", type=click.IntRange(min=1), default=200, show_default=True),
+)
 
 
-def fit_options(f):
-    f = click.option("--n-starts", type=int, default=10, show_default=True)(f)
-    f = click.option("--tolerance", type=float, default=1e-6, show_default=True)(f)
-    f = click.option("--max-iterations", type=int, default=200, show_default=True)(f)
-    return f
+def grid_option(default: int):
+    return click.option(
+        "--grid-size", "-m", type=click.IntRange(min=2), default=default, show_default=True
+    )
 
 
-def kernel_options(f):
-    f = click.option("--grid-size", "-m", type=int, default=500, show_default=True)(f)
-    f = click.option("--tail-tolerance", type=float, default=1e-4, show_default=True)(f)
-    f = click.option(
-        "--info-matrix-mode",
-        type=click.Choice(["inverse", "literal"]),
-        default="inverse",
-        show_default=True,
-    )(f)
-    f = click.option("--imhof-tolerance", type=float, default=1e-6, show_default=True)(f)
-    return f
+def kernel_options(grid_size: int = 500):
+    return _options(
+        grid_option(grid_size),
+        click.option(
+            "--tail-tolerance",
+            type=click.FloatRange(0.0, 1.0, max_open=True),
+            default=1e-4,
+            show_default=True,
+        ),
+        click.option("--imhof-tolerance", type=_POSITIVE, default=1e-6, show_default=True),
+    )
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Commands(click.Group):
+    """Turns an error of the fit or kernel stage into its exit code and one line on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WmixgofError as exc:
+            if exc.stage is None:
+                raise
+            _fail(_STAGE_EXITS[exc.stage], exc.stage, str(exc))
+
+
+@click.group(cls=_Commands, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
 @click.option(
     "--config",
@@ -187,35 +212,26 @@ def main(ctx, config_path):
             ctx.default_map = json.load(fh)
 
 
+def _read_sample(input_path: str) -> Sample:
+    try:
+        return Sample(read_observations(input_path), label=input_path)
+    except DataFileError as exc:
+        _fail(EXIT_PARSE, "parse", str(exc))
+
+
 @main.command("fit")
-@click.option("--input", "-i", "input_path", required=True, type=click.Path())
+@input_option
 @output_option
 @seed_option
 @fit_options
 def cmd_fit(input_path, output, seed, n_starts, tolerance, max_iterations):
     """Fit the mixture by maximum likelihood and report the parameters."""
-    try:
-        data = read_observations(input_path)
-    except DataFileError as exc:
-        _fail(EXIT_PARSE, "parse", str(exc))
-    sample = Sample(data, label=input_path)
-    config = FitConfig(
-        n_starts=n_starts, tolerance=tolerance, max_iterations=max_iterations, seed=seed
-    )
-    try:
-        fit = fit_mle(sample, config)
-    except _FIT_ERRORS as exc:
-        _fail(EXIT_FIT, "fit", str(exc))
+    sample = _read_sample(input_path)
+    fit = fit_mle(sample, FitConfig(n_starts, tolerance, max_iterations, seed))
     report = {
         "command": "fit",
         "version": __version__,
-        "config": {
-            "input": input_path,
-            "seed": seed,
-            "n_starts": n_starts,
-            "tolerance": tolerance,
-            "max_iterations": max_iterations,
-        },
+        "config": _config_echo(),
         "input": {"path": input_path, "n": sample.n},
         "fit": _fit_section(fit),
     }
@@ -223,11 +239,11 @@ def cmd_fit(input_path, output, seed, n_starts, tolerance, max_iterations):
 
 
 @main.command("test")
-@click.option("--input", "-i", "input_path", required=True, type=click.Path())
+@input_option
 @output_option
 @seed_option
 @fit_options
-@kernel_options
+@kernel_options()
 def cmd_test(
     input_path,
     output,
@@ -237,7 +253,6 @@ def cmd_test(
     max_iterations,
     grid_size,
     tail_tolerance,
-    info_matrix_mode,
     imhof_tolerance,
 ):
     """Run the full goodness-of-fit test on a data file.
@@ -247,41 +262,16 @@ def cmd_test(
     kernel eigenvalues and converts the statistic to an approximate
     p-value.
     """
-    try:
-        data = read_observations(input_path)
-    except DataFileError as exc:
-        _fail(EXIT_PARSE, "parse", str(exc))
-    sample = Sample(data, label=input_path)
-    config = FitConfig(
-        n_starts=n_starts, tolerance=tolerance, max_iterations=max_iterations, seed=seed
-    )
-    try:
-        fit = fit_mle(sample, config)
-    except _FIT_ERRORS as exc:
-        _fail(EXIT_FIT, "fit", str(exc))
+    sample = _read_sample(input_path)
+    fit = fit_mle(sample, FitConfig(n_starts, tolerance, max_iterations, seed))
     w2 = cvm_statistic(pit(sample, fit.theta_hat))
-    try:
-        q = build_q_matrix(
-            fit.theta_hat, fit.hessian, sample.n, grid_size, info_matrix_mode=info_matrix_mode
-        )
-        spectrum = eigen_spectrum(q, tail_tolerance)
-        p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2, imhof_tolerance)
-    except _KERNEL_ERRORS as exc:
-        _fail(EXIT_KERNEL, "kernel", str(exc))
+    q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
+    spectrum = eigen_spectrum(q, tail_tolerance)
+    p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2, imhof_tolerance)
     report = {
         "command": "test",
         "version": __version__,
-        "config": {
-            "input": input_path,
-            "seed": seed,
-            "n_starts": n_starts,
-            "tolerance": tolerance,
-            "max_iterations": max_iterations,
-            "grid_size": grid_size,
-            "tail_tolerance": tail_tolerance,
-            "info_matrix_mode": info_matrix_mode,
-            "imhof_tolerance": imhof_tolerance,
-        },
+        "config": _config_echo(),
         "input": {"path": input_path, "n": sample.n},
         "fit": _fit_section(fit),
         "statistic": {"w2": w2},
@@ -307,17 +297,9 @@ def cmd_test(
 @output_option
 @seed_option
 @fit_options
-@click.option("--grid-size", "-m", type=int, default=200, show_default=True)
-@click.option("--tail-tolerance", type=float, default=1e-4, show_default=True)
-@click.option(
-    "--info-matrix-mode",
-    type=click.Choice(["inverse", "literal"]),
-    default="inverse",
-    show_default=True,
-)
-@click.option("--imhof-tolerance", type=float, default=1e-6, show_default=True)
-@click.option("--n-reps", type=int, default=500, show_default=True)
-@click.option("--sample-size", type=int, default=100, show_default=True)
+@kernel_options(grid_size=200)
+@click.option("--n-reps", type=click.IntRange(min=1), default=500, show_default=True)
+@click.option("--sample-size", type=click.IntRange(min=20), default=100, show_default=True)
 @click.option(
     "--population",
     type=click.IntRange(1, 5),
@@ -325,6 +307,13 @@ def cmd_test(
     help="Benchmark population index (1..5).",
 )
 @click.option("--theta", "theta_text", default=None, help="Explicit alpha1,alpha2,beta1,beta2,p.")
+@click.option(
+    "--processes",
+    type=click.IntRange(min=1),
+    default=1,
+    show_default=True,
+    help="Worker processes; the report does not depend on it.",
+)
 def cmd_simulate(
     output,
     seed,
@@ -333,12 +322,12 @@ def cmd_simulate(
     max_iterations,
     grid_size,
     tail_tolerance,
-    info_matrix_mode,
     imhof_tolerance,
     n_reps,
     sample_size,
     population,
     theta_text,
+    processes,
 ):
     """Monte Carlo uniformity study of the approximate p-values."""
     if population is None and theta_text is None:
@@ -347,9 +336,6 @@ def cmd_simulate(
         spec = PopulationSpec(theta=_parse_theta(theta_text), label="custom")
     else:
         spec = benchmark_populations()[population - 1]
-    config = FitConfig(
-        n_starts=n_starts, tolerance=tolerance, max_iterations=max_iterations, seed=seed
-    )
     try:
         result = run_study(
             spec,
@@ -357,33 +343,18 @@ def cmd_simulate(
             sample_size,
             seed,
             grid_size=grid_size,
-            fit_config=config,
+            fit_config=FitConfig(n_starts, tolerance, max_iterations, seed),
             tail_tolerance=tail_tolerance,
             imhof_tolerance=imhof_tolerance,
-            info_matrix_mode=info_matrix_mode,
+            processes=processes,
         )
     except StudyAborted as exc:
         _fail(EXIT_FIT, "simulate", str(exc))
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
     theta = spec.theta
     report = {
         "command": "simulate",
         "version": __version__,
-        "config": {
-            "seed": seed,
-            "n_starts": n_starts,
-            "tolerance": tolerance,
-            "max_iterations": max_iterations,
-            "grid_size": grid_size,
-            "tail_tolerance": tail_tolerance,
-            "info_matrix_mode": info_matrix_mode,
-            "imhof_tolerance": imhof_tolerance,
-            "n_reps": n_reps,
-            "sample_size": sample_size,
-            "population": population,
-            "theta": theta_text,
-        },
+        "config": _config_echo(),
         "population": {
             "label": spec.label,
             "alpha1": theta.alpha1,
@@ -398,6 +369,7 @@ def cmd_simulate(
         "n_failed_fits": result.n_failed_fits,
         "ad_statistic": result.ad_statistic,
         "ad_p_value": result.ad_p_value,
+        "rejection_rate_5pct": float(np.mean(result.p_values < 0.05)),
         "p_values": [float(v) for v in result.p_values],
     }
     _emit(report, output)
@@ -405,13 +377,14 @@ def cmd_simulate(
 
 @main.command("eigen-check")
 @output_option
-@click.option("--grid-size", "-m", type=int, default=500, show_default=True)
+@grid_option(500)
 def cmd_eigen_check(output, grid_size):
     """Compare discretized Brownian bridge eigenvalues to 1/(pi*j)**2."""
     spectrum = eigen_spectrum(brownian_bridge_q(grid_size), tail_tolerance=0.0)
-    exact = simple_hypothesis_lambdas(10)
+    k = min(10, grid_size)
+    exact = simple_hypothesis_lambdas(k)
     rows = []
-    for j in range(10):
+    for j in range(k):
         estimate = float(spectrum.lambdas[j])
         rows.append(
             {
@@ -424,7 +397,7 @@ def cmd_eigen_check(output, grid_size):
     report = {
         "command": "eigen-check",
         "version": __version__,
-        "config": {"grid_size": grid_size},
+        "config": _config_echo(),
         "rows": rows,
     }
     _emit(report, output)

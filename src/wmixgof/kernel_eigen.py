@@ -35,8 +35,6 @@ __all__ = [
     "simple_hypothesis_lambdas",
 ]
 
-INFO_MATRIX_MODES = ("inverse", "literal")
-
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
@@ -97,22 +95,17 @@ def build_q_matrix(
     hessian: np.ndarray,
     n: int,
     m: int,
-    info_matrix_mode: str = "inverse",
 ) -> KernelMatrix:
     """Discretize the estimated kernel on the interior grid.
 
     The per-observation information is estimated by -H/n and must be
     positive definite (otherwise the fit was not a regular interior
-    optimum and SingularInformation is raised). ``info_matrix_mode``
-    selects the correction bilinear form: ``inverse`` uses (-H/n)^{-1},
-    the form that reproduces the known kernels of fully worked cases;
-    ``literal`` uses -H/n itself for side-by-side comparison.
+    optimum and SingularInformation is raised). The correction bilinear
+    form is its inverse (-H/n)^{-1}.
 
     Psi is the CDF gradient at the fitted quantiles of all m grid levels,
     found by one array inversion of the fitted CDF.
     """
-    if info_matrix_mode not in INFO_MATRIX_MODES:
-        raise DomainError(f"info_matrix_mode must be one of {INFO_MATRIX_MODES}")
     if m < 2:
         raise DomainError("grid size m must be at least 2")
     if n < 1:
@@ -128,7 +121,7 @@ def build_q_matrix(
         raise SingularInformation(
             "-H/n is not positive definite; the fit is not a regular interior optimum"
         ) from None
-    correction = np.linalg.inv(info) if info_matrix_mode == "inverse" else info
+    correction = np.linalg.inv(info)
 
     s = grid_points(m)
     x, n_bisected = invert_cdf(s, theta_hat)

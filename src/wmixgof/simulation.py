@@ -9,21 +9,14 @@ collected p-values.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import (
-    AllStartsFailed,
-    ConvergenceError,
-    DegenerateInput,
-    DomainError,
-    EigenSolverFailure,
-    NonFiniteHessian,
-    QuadratureFailure,
-    SingularInformation,
-    StudyAborted,
-)
+from .errors import DegenerateInput, DomainError, StudyAborted, WmixgofError
 from .estimation import FitConfig, fit_mle
 from .gof_statistic import ad_statistic_uniform, ad_uniformity_pvalue, cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
@@ -36,14 +29,8 @@ __all__ = ["PopulationSpec", "StudyResult", "benchmark_populations", "run_study"
 # this far out is invisible at any realistic replication count.
 _P_CLIP = 1e-12
 
-_REP_FAILURES = (
-    AllStartsFailed,
-    ConvergenceError,
-    EigenSolverFailure,
-    NonFiniteHessian,
-    QuadratureFailure,
-    SingularInformation,
-)
+# Closed-form Brownian bridge weights used when the parameters are known.
+_N_SIMPLE_LAMBDAS = 100
 
 
 @dataclass(frozen=True)
@@ -98,6 +85,49 @@ def _replication_seeds(seed: int, rep: int) -> tuple:
     return int(s_sample), int(s_fit)
 
 
+def _study_window(
+    population: PopulationSpec,
+    sample_size: int,
+    seed: int,
+    grid_size: int,
+    fit_config: FitConfig,
+    tail_tolerance: float,
+    imhof_tolerance: float,
+    estimate_parameters: bool,
+    first: int,
+    count: int,
+) -> tuple[list[float], int]:
+    """P-values and failure count of replications [first, first + count).
+
+    A replication fails when its fit or kernel stage raises; any other
+    error propagates.
+    """
+    known_lambdas = None
+    if not estimate_parameters:
+        known_lambdas = WeightedChiSquare(simple_hypothesis_lambdas(_N_SIMPLE_LAMBDAS))
+    p_values = []
+    n_failed = 0
+    for rep in range(first, first + count):
+        s_sample, s_fit = _replication_seeds(seed, rep)
+        sample = sample_mixture(population.theta, sample_size, s_sample)
+        try:
+            if estimate_parameters:
+                fit = fit_mle(sample, replace(fit_config, seed=s_fit))
+                w2 = cvm_statistic(pit(sample, fit.theta_hat))
+                q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
+                spectrum = eigen_spectrum(q, tail_tolerance)
+                weights = WeightedChiSquare(spectrum.retained)
+            else:
+                w2 = cvm_statistic(pit(sample, population.theta))
+                weights = known_lambdas
+            p_values.append(imhof_tail(weights, w2, imhof_tolerance))
+        except WmixgofError as exc:
+            if exc.stage is None:
+                raise
+            n_failed += 1
+    return p_values, n_failed
+
+
 def run_study(
     population: PopulationSpec,
     n_reps: int,
@@ -108,10 +138,9 @@ def run_study(
     fit_config: FitConfig | None = None,
     tail_tolerance: float = 1e-4,
     imhof_tolerance: float = 1e-6,
-    info_matrix_mode: str = "inverse",
     estimate_parameters: bool = True,
-    n_simple_lambdas: int = 100,
     first_rep: int = 0,
+    processes: int = 1,
 ) -> StudyResult:
     """Run the full test pipeline n_reps times on samples from the population.
 
@@ -125,9 +154,11 @@ def run_study(
     estimation.
 
     Replication seeds are derived from (seed, replication index) alone, so
-    a study over replications [first_rep, first_rep + n_reps) can be split
-    into windows run by independent workers: the pooled p-values equal
-    those of one sequential run.
+    the replications [first_rep, first_rep + n_reps) can be split into
+    windows: with ``processes > 1`` each window runs in its own spawned
+    worker, and the pooled result equals that of one sequential run bit for
+    bit. ``processes=1`` runs in this process and starts no pool; a script
+    that asks for more needs the usual ``if __name__ == "__main__":`` guard.
     """
     if n_reps < 1:
         raise DomainError("n_reps must be at least 1")
@@ -135,41 +166,35 @@ def run_study(
         raise DomainError("sample_size must be at least 20")
     if first_rep < 0:
         raise DomainError("first_rep must be nonnegative")
-    fit_config = fit_config or FitConfig()
-    known_lambdas = None
-    if not estimate_parameters:
-        known_lambdas = WeightedChiSquare(simple_hypothesis_lambdas(n_simple_lambdas))
-
-    p_values = []
-    n_failed = 0
-    for rep in range(first_rep, first_rep + n_reps):
-        s_sample, s_fit = _replication_seeds(seed, rep)
-        sample = sample_mixture(population.theta, sample_size, s_sample)
-        try:
-            if estimate_parameters:
-                fit = fit_mle(sample, replace(fit_config, seed=s_fit))
-                w2 = cvm_statistic(pit(sample, fit.theta_hat))
-                q = build_q_matrix(
-                    fit.theta_hat,
-                    fit.hessian,
-                    sample.n,
-                    grid_size,
-                    info_matrix_mode=info_matrix_mode,
-                )
-                spectrum = eigen_spectrum(q, tail_tolerance)
-                weights = WeightedChiSquare(spectrum.retained)
-            else:
-                w2 = cvm_statistic(pit(sample, population.theta))
-                weights = known_lambdas
-            p_values.append(imhof_tail(weights, w2, imhof_tolerance))
-        except _REP_FAILURES:
-            n_failed += 1
+    if processes < 1:
+        raise DomainError("processes must be at least 1")
+    window = partial(
+        _study_window,
+        population,
+        sample_size,
+        seed,
+        grid_size,
+        fit_config or FitConfig(),
+        tail_tolerance,
+        imhof_tolerance,
+        estimate_parameters,
+    )
+    if processes == 1:
+        parts = [window(first_rep, n_reps)]
+    else:
+        per = -(-n_reps // processes)
+        firsts = range(first_rep, first_rep + n_reps, per)
+        counts = [min(per, first_rep + n_reps - f) for f in firsts]
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=len(firsts), mp_context=context) as pool:
+            parts = list(pool.map(window, firsts, counts))
+    n_failed = sum(f for _, f in parts)
     if n_failed > 0.2 * n_reps:
         raise StudyAborted(
             f"{n_failed} of {n_reps} replications failed; configuration looks broken"
         )
 
-    p_arr = np.sort(np.asarray(p_values, dtype=float))
+    p_arr = np.sort(np.asarray([p for ps, _ in parts for p in ps], dtype=float))
     ad_stat = ad_pval = None
     if p_arr.size >= 2:
         clipped = np.clip(p_arr, _P_CLIP, 1.0 - _P_CLIP)

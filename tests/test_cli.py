@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from wmixgof import (
     FitConfig,
+    NonFiniteHessian,
     Sample,
     benchmark_populations,
     build_q_matrix,
@@ -13,6 +14,7 @@ from wmixgof import (
     sample_mixture,
 )
 from wmixgof.cli import main, read_observations, DataFileError
+import wmixgof.estimation as estimation
 import wmixgof.mixture_model as mixture_model
 
 
@@ -220,6 +222,15 @@ class TestCmdSimulate:
         result = runner.invoke(main, ["simulate", "--theta", "1,2,3", "--n-reps", "1"])
         assert result.exit_code == 2
 
+    def test_process_count_leaves_the_report_unchanged(self, runner):
+        args = ["simulate", "--population", "5", "--n-reps", "4", "--sample-size", "60"]
+        args += ["-m", "50", "--seed", "4", "--processes"]
+        one = runner.invoke(main, args + ["1"])
+        two = runner.invoke(main, args + ["2"])
+        assert one.exit_code == two.exit_code == 0
+        assert '"processes": 2' in two.output
+        assert two.output.replace('"processes": 2', '"processes": 1') == one.output
+
 
 class TestCmdEigenCheck:
     def test_ten_rows_with_small_errors(self, runner):
@@ -229,12 +240,70 @@ class TestCmdEigenCheck:
         assert len(report["rows"]) == 10
         assert report["rows"][0]["relative_error"] < 1e-3
         assert all(row["relative_error"] < 1e-3 for row in report["rows"])
+        small = runner.invoke(main, ["eigen-check", "-m", "5"])
+        assert small.exit_code == 0
+        assert [row["j"] for row in json.loads(small.output)["rows"]] == [1, 2, 3, 4, 5]
 
     def test_errors_shrink_with_refinement(self, runner):
         coarse = json.loads(runner.invoke(main, ["eigen-check", "-m", "50"]).output)
         fine = json.loads(runner.invoke(main, ["eigen-check", "-m", "500"]).output)
         worst = lambda rep: max(r["relative_error"] for r in rep["rows"])  # noqa: E731
         assert worst(fine) < worst(coarse)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [["fit"], ["test", "-m", "50"]], ids=["fit", "test"])
+    def test_non_finite_hessian_exits_3(self, runner, pop5_file, monkeypatch, args):
+        def non_finite(theta, sample):
+            raise NonFiniteHessian("forced")
+
+        monkeypatch.setattr(estimation, "hessian_at", non_finite)
+        result = runner.invoke(main, args + ["-i", pop5_file])
+        assert result.exit_code == 3
+        assert "error: fit: forced" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["test", "-m", "1"],
+            ["test", "--n-starts", "0"],
+            ["fit", "--tolerance", "0"],
+            ["test", "--tail-tolerance", "1.5"],
+            ["test", "--imhof-tolerance", "0"],
+            ["simulate", "--population", "1", "--n-starts", "0"],
+            ["eigen-check", "-m", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_option_exits_2(self, runner, pop5_file, args):
+        inputs = ["-i", pop5_file] if args[0] in ("fit", "test") else []
+        result = runner.invoke(main, args + inputs)
+        assert result.exit_code == 2
+        assert "Invalid value for" in result.output
+        assert f"'{args[-2]}'" in result.output
+
+
+class TestConfigEcho:
+    FIT = ["input", "seed", "n_starts", "tolerance", "max_iterations"]
+    KERNEL = ["grid_size", "tail_tolerance", "imhof_tolerance"]
+
+    @pytest.mark.parametrize(
+        "args, keys",
+        [
+            (["fit", "-i", "{data}"], FIT),
+            (["test", "-i", "{data}", "-m", "50"], FIT + KERNEL),
+            (
+                ["simulate", "--population", "5", "--n-reps", "1", "--sample-size", "60", "-m", "50"],
+                FIT[1:] + KERNEL + ["n_reps", "sample_size", "population", "theta", "processes"],
+            ),
+            (["eigen-check", "-m", "50"], ["grid_size"]),
+        ],
+        ids=["fit", "test", "simulate", "eigen-check"],
+    )
+    def test_keys_in_order(self, runner, pop5_file, args, keys):
+        result = runner.invoke(main, [a.format(data=pop5_file) for a in args])
+        assert result.exit_code == 0, result.output
+        assert list(json.loads(result.output)["config"]) == keys
 
 
 class TestConfigPlumbing:

@@ -248,16 +248,6 @@ class TestBuildQMatrix:
         with pytest.raises(SingularInformation):
             build_q_matrix(fit.theta_hat, np.eye(5), sample.n, 20)
 
-    def test_literal_mode_differs_from_inverse(self, fitted_pop1):
-        sample, fit = fitted_pop1
-        q_inv = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 30)
-        q_lit = build_q_matrix(
-            fit.theta_hat, fit.hessian, sample.n, 30, info_matrix_mode="literal"
-        )
-        assert not np.allclose(q_inv.entries, q_lit.entries)
-        with pytest.raises(DomainError):
-            build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 30, info_matrix_mode="bogus")
-
     def test_rejects_small_grid(self, fitted_pop1):
         sample, fit = fitted_pop1
         with pytest.raises(DomainError):
