@@ -11,6 +11,7 @@ on stderr.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -109,6 +110,8 @@ def _fit_section(fit: FitResult) -> dict:
         "n_boundary_starts": fit.n_boundary_starts,
         "boundary_proximity": fit.boundary_proximity,
         "local_optima_log_likelihoods": list(fit.best_of_likelihoods),
+        "n_rounds": fit.n_rounds,
+        "n_evaluations": fit.n_evaluations,
     }
 
 
@@ -143,7 +146,20 @@ def _options(*options):
     return decorate
 
 
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+class _FiniteRange(click.FloatRange):
+    """A float range that also rejects nan and infinities.
+
+    nan compares false with both bounds, so a plain FloatRange lets it through.
+    """
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+
+_POSITIVE = _FiniteRange(min=0.0, min_open=True)
 
 seed_option = click.option(
     "--seed",
@@ -175,7 +191,7 @@ def kernel_options(grid_size: int = 500):
         grid_option(grid_size),
         click.option(
             "--tail-tolerance",
-            type=click.FloatRange(0.0, 1.0, max_open=True),
+            type=_FiniteRange(0.0, 1.0, max_open=True),
             default=1e-4,
             show_default=True,
         ),

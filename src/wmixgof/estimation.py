@@ -71,8 +71,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise DomainError("n_starts must be at least 1")
-        if self.tolerance <= 0.0 or self.max_iterations < 1:
-            raise DomainError("tolerance must be positive and max_iterations >= 1")
+        if not 0.0 < self.tolerance < math.inf or self.max_iterations < 1:
+            raise DomainError("tolerance must be positive and finite and max_iterations >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +83,9 @@ class FitResult:
     (interior) starts in start order; the reported ``log_likelihood`` is
     their maximum. Starts that ended on the mixing boundary are counted in
     ``n_boundary_starts`` instead. ``boundary_proximity`` flags a reported
-    proportion outside [0.05, 0.95].
+    proportion outside [0.05, 0.95]. ``n_rounds`` counts the lockstep
+    evaluation rounds of all starts and ``n_evaluations`` the parameter rows
+    they evaluated.
     """
 
     theta_hat: MixtureParams
@@ -94,31 +96,8 @@ class FitResult:
     best_of_likelihoods: list = field(default_factory=list)
     n_boundary_starts: int = 0
     boundary_proximity: bool = False
-
-
-def _logaddexp2way(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Elementwise log(exp(t1) + exp(t2)), tolerating -inf in both slots."""
-    hi = np.maximum(t1, t2)
-    with np.errstate(invalid="ignore"):
-        out = hi + np.log1p(np.exp(-np.abs(t1 - t2)))
-    return np.where(np.isfinite(hi), out, hi)
-
-
-def _masked_dot(w: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Row sums of w * factor, treating w == 0 terms as exactly zero.
-
-    Where a component density underflows the factor can be infinite while
-    the weight is exactly zero; those terms contribute nothing. Rows with
-    such terms are summed over their positive weights only, so each row
-    sum is the one its positive terms alone would give.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        prod = w * factor
-        out = np.sum(prod, axis=1)
-        positive = w > 0.0
-        for i in np.flatnonzero(~np.all(positive, axis=1)):
-            out[i] = np.sum(prod[i, positive[i]])
-    return out
+    n_rounds: int = 0
+    n_evaluations: int = 0
 
 
 def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
@@ -127,12 +106,13 @@ def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
     ``thetas`` is a (k, 5) array of rows (a1, a2, b1, b2, p). Returns the
     total log-likelihood per row (-inf where it is not finite), the (k, 5)
     gradient of the total log-likelihood with respect to (a1, a2, b1, b2, p),
-    and the mean first-component responsibility per row. Per-row scalar
-    logs are taken with ``math`` and every reduction runs along a row, so a
-    row's values do not depend on the other rows.
+    and the mean first-component responsibility per row. Both components
+    pass each elementwise step together, as (2, k, n) arrays. Per-row scalar
+    logs are taken with ``math`` and every reduction runs along a contiguous
+    row, so a row's values do not depend on the other rows.
     """
-    a1, a2, b1, b2 = (thetas[:, j : j + 1] for j in range(4))
-    c1, c2, lp, lq = np.array(
+    k, n = thetas.shape[0], x.size
+    coef = np.array(
         [
             (
                 math.log(ra1 / rb1),
@@ -143,41 +123,41 @@ def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
             for ra1, ra2, rb1, rb2, rp in thetas.tolist()
         ]
     ).T[:, :, None]
-    l1 = np.log(x / b1)
-    l2 = np.log(x / b2)
-    with np.errstate(over="ignore"):
-        u1 = np.exp(a1 * l1)
-        u2 = np.exp(a2 * l2)
-    lf1 = c1 + (a1 - 1.0) * l1 - u1
-    lf2 = c2 + (a2 - 1.0) * l2 - u2
-    t1 = lp + lf1
-    t2 = lq + lf2
-    lse = _logaddexp2way(t1, t2)
-    ll = np.sum(lse, axis=1)
+    a, b = thetas.T[:2, :, None], thetas.T[2:4, :, None]
+    # terms: log p + log f1, log(1-p) + log f2, log f1, log f2. rows: the
+    # score terms of a1, a2, b1, b2, p, then log f and the responsibility.
+    terms = np.empty((2, 2, k, n))
+    rows = np.empty((7, k, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lx = np.log(x / b)
+        u = np.exp(a * lx)
+        np.subtract(coef[:2] + (a - 1.0) * lx, u, out=terms[1])
+        np.add(coef[2:], terms[1], out=terms[0])
+        t1, t2 = terms[0]
+        hi = np.maximum(t1, t2)
+        # Where t1 and t2 are both infinite this log f is nan, not the
+        # infinity; every output taken from it comes out the same either way.
+        lse = rows[5]
+        np.add(hi, np.log1p(np.exp(-np.abs(t1 - t2))), out=lse)
+        np.exp(terms - lse, out=terms)  # weights p*f1/f, (1-p)*f2/f; ratios f1/f, f2/f
+        w, r = terms
+        nonfinite = ~np.isfinite(terms)
+        np.copyto(terms, 0.0, where=nonfinite)
+        np.copyto(rows[6], w[0])
+        np.copyto(rows[6], 0.5, where=nonfinite[0, 0])
+        np.multiply(w, 1.0 / a + lx * (1.0 - u), out=rows[:2])
+        np.multiply(w, (a / b) * (u - 1.0), out=rows[2:4])
+        np.subtract(r[0], r[1], out=rows[4])
+        sums = rows.sum(axis=2)
+        # Where a density underflows, the weight is exactly 0 while its
+        # factor can be infinite: such rows sum their positive-weight terms.
+        positive = w > 0.0
+        for c, i in zip(*np.nonzero(~positive.all(axis=2))):
+            for j in (c, c + 2):
+                sums[j, i] = rows[j, i, positive[c, i]].sum()
+    ll = sums[5]
     ll[~np.isfinite(ll)] = -math.inf
-
-    with np.errstate(invalid="ignore"):
-        w1 = np.exp(t1 - lse)  # responsibilities p*f1/f and (1-p)*f2/f
-        w2 = np.exp(t2 - lse)
-        r1 = np.exp(lf1 - lse)  # density ratios f1/f and f2/f
-        r2 = np.exp(lf2 - lse)
-    resp = np.mean(np.where(np.isfinite(w1), w1, 0.5), axis=1)
-    w1 = np.where(np.isfinite(w1), w1, 0.0)
-    w2 = np.where(np.isfinite(w2), w2, 0.0)
-    r1 = np.where(np.isfinite(r1), r1, 0.0)
-    r2 = np.where(np.isfinite(r2), r2, 0.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        ta1 = 1.0 / a1 + l1 * (1.0 - u1)
-        tb1 = (a1 / b1) * (u1 - 1.0)
-        ta2 = 1.0 / a2 + l2 * (1.0 - u2)
-        tb2 = (a2 / b2) * (u2 - 1.0)
-    score = np.empty((thetas.shape[0], 5))
-    score[:, 0] = _masked_dot(w1, ta1)
-    score[:, 1] = _masked_dot(w2, ta2)
-    score[:, 2] = _masked_dot(w1, tb1)
-    score[:, 3] = _masked_dot(w2, tb2)
-    score[:, 4] = np.sum(r1 - r2, axis=1)
-    return ll, score, resp
+    return ll, sums[:5].T, sums[6] / n
 
 
 def log_likelihood(theta: MixtureParams, sample: Sample) -> float:
@@ -218,16 +198,17 @@ def _nll_eta(eta: np.ndarray):
     return -ll, -score * jac
 
 
-def _nll_eta4(eta4: np.ndarray, p: float):
-    """As _nll_eta over the log shapes and scales, with p held fixed."""
-    th = np.concatenate([np.exp(eta4), [p]])
+def _nll_eta4(eta4: np.ndarray, th: np.ndarray):
+    """As _nll_eta over the log shapes and scales, with p held fixed.
+
+    ``th`` is the parameter row to fill: its p entry is set, and the shapes
+    and scales are written over on each call.
+    """
+    np.exp(eta4, out=th[:4])
     ll, score, _ = yield th
     if not math.isfinite(ll):
         return _HUGE_NLL, np.zeros(4)
-    # Far out on a flat ridge the score times the parameter can overflow;
-    # the infinite gradient is what L-BFGS-B is meant to see there.
-    with np.errstate(over="ignore"):
-        return -ll, -(score[:4] * th[:4])
+    return -ll, -(score[:4] * th[:4])
 
 
 def _lbfgsb(
@@ -267,9 +248,11 @@ def _lbfgsb(
             _LBFGSB_MAXLS, ln_task,
         )
         if task[0] == 3:  # FG: evaluate f and g at x
-            if x_eval is None or not np.array_equal(x, x_eval):
-                x_eval = x.copy()
-                f_eval, g_eval = yield from objective(x_eval)
+            # Lists compare as np.array_equal does: -0.0 equals 0.0, NaN
+            # equals nothing.
+            if x.tolist() != x_eval:
+                x_eval = x.tolist()
+                f_eval, g_eval = yield from objective(x)
                 n_evaluations += 1
             f, g = f_eval, g_eval
         elif task[0] == 1:  # NEW_X: an iteration finished
@@ -296,8 +279,9 @@ def _fit_start(theta0: np.ndarray, max_iterations: int):
         _, _, resp = yield _from_eta(eta)
         p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
         eta[4] = float(logit(p_new))
+        th = np.array([0.0, 0.0, 0.0, 0.0, p_new])
         eta[:4], nll = yield from _lbfgsb(
-            partial(_nll_eta4, p=p_new), eta[:4], _BOX4, maxiter=25, ftol=1e-12
+            partial(_nll_eta4, th=th), eta[:4], _BOX4, maxiter=25, ftol=1e-12
         )
         ll = -float(nll)
         if ll - ll_prev <= 1e-9 * (1.0 + abs(ll)):
@@ -309,25 +293,32 @@ def _fit_start(theta0: np.ndarray, max_iterations: int):
     return _from_eta(eta), -float(nll)
 
 
-def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> list:
-    """Run every start to its local optimum in lockstep: (theta, ll) per start.
+def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> tuple:
+    """Run every start to its local optimum in lockstep.
 
     Each round evaluates the rows that all unfinished starts are waiting on
-    as one batch and sends each start its own row.
+    as one batch and sends each start its own row. Returns the (theta, ll)
+    of each start, the number of rounds and the number of rows evaluated.
     """
     runs = [_fit_start(theta0, config.max_iterations) for theta0 in starts]
     results = [None] * len(runs)
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        order = list(pending)
-        ll, score, resp = _evaluate(x, np.array([pending[i] for i in order]))
-        for i, ll_i, score_i, resp_i in zip(order, ll.tolist(), score, resp.tolist()):
-            try:
-                pending[i] = runs[i].send((ll_i, score_i, resp_i))
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-    return results
+    n_rounds = n_evaluations = 0
+    # Far out on a flat ridge the score times the parameter can overflow;
+    # the infinite gradient is what L-BFGS-B is meant to see there.
+    with np.errstate(over="ignore"):
+        pending = {i: next(run) for i, run in enumerate(runs)}
+        while pending:
+            order = list(pending)
+            n_rounds += 1
+            n_evaluations += len(order)
+            ll, score, resp = _evaluate(x, np.array([pending[i] for i in order]))
+            for i, ll_i, score_i, resp_i in zip(order, ll.tolist(), score, resp.tolist()):
+                try:
+                    pending[i] = runs[i].send((ll_i, score_i, resp_i))
+                except StopIteration as done:
+                    results[i] = done.value
+                    del pending[i]
+    return results, n_rounds, n_evaluations
 
 
 @contextmanager
@@ -354,14 +345,18 @@ def _one_scipy_blas_thread():
 
 
 @cache
-def _scipy_openblas_threads():
-    """(get, set) thread-count functions of scipy's bundled OpenBLAS, or None."""
+def _scipy_openblas_threads(package: str = "scipy"):
+    """(get, set) thread-count functions of the OpenBLAS bundled with ``package``, or None.
+
+    numpy and scipy wheels each bundle their own scipy-openblas build in
+    ``<package>.libs``; numpy's exports its functions with a ``64_`` suffix.
+    """
     import ctypes
+    import importlib
     import os
 
-    import scipy
-
-    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    root = os.path.dirname(importlib.import_module(package).__file__)
+    libs = os.path.join(root, os.pardir, f"{package}.libs")
     try:
         names = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas")]
     except OSError:
@@ -369,16 +364,14 @@ def _scipy_openblas_threads():
     if len(names) != 1:
         return None
     lib = ctypes.CDLL(os.path.join(libs, names[0]))
-    try:
-        get_threads, set_threads = (
-            lib.scipy_openblas_get_num_threads,
-            lib.scipy_openblas_set_num_threads,
-        )
-    except AttributeError:
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
+    for suffix in ("", "64_"):
+        get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get_threads and set_threads:
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
+    return None
 
 
 def _moment_weibull(x: np.ndarray) -> tuple:
@@ -429,7 +422,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     admissible = []
     n_boundary = 0
     with _one_scipy_blas_thread():
-        optima = _optimize_starts(x, starts, config)
+        optima, n_rounds, n_evaluations = _optimize_starts(x, starts, config)
     for th, ll in optima:
         if not math.isfinite(ll):
             n_boundary += 1
@@ -444,9 +437,8 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
         )
     th_best, ll_best = max(admissible, key=lambda item: item[1])
     theta_hat = MixtureParams.from_array(th_best)
-    grad = _evaluate(x, theta_hat.as_array()[None, :])[1][0]
+    grad, hess = _score_and_hessian(theta_hat, sample)
     converged = bool(np.max(np.abs(grad)) < config.tolerance * sample.n)
-    hess = hessian_at(theta_hat, sample)
     return FitResult(
         theta_hat=theta_hat,
         log_likelihood=ll_best,
@@ -456,6 +448,8 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
         best_of_likelihoods=[ll for _, ll in admissible],
         n_boundary_starts=n_boundary,
         boundary_proximity=not (_P_FLAG[0] <= theta_hat.p <= _P_FLAG[1]),
+        n_rounds=n_rounds,
+        n_evaluations=n_evaluations,
     )
 
 
@@ -464,8 +458,15 @@ def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
 
     Central finite differences of the analytic score, step
     h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
-    stay inside the parameter space), symmetrized. The ten shifted
-    parameter rows are evaluated as one batch.
+    stay inside the parameter space), symmetrized.
+    """
+    return _score_and_hessian(theta, sample)[1]
+
+
+def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
+    """Score and Hessian at theta, as ``hessian_at`` defines the Hessian.
+
+    theta and its ten shifted parameter rows are evaluated as one batch.
     """
     if not 0.0 < theta.p < 1.0:
         raise DomainError("Hessian requires an interior mixing proportion")
@@ -473,12 +474,12 @@ def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
     h = np.maximum(1e-5, 1e-5 * np.abs(th))
     h[:4] = np.minimum(h[:4], 0.49 * th[:4])
     h[4] = min(h[4], 0.49 * min(theta.p, 1.0 - theta.p))
-    rows = np.repeat(th[None, :], 10, axis=0)
+    rows = np.repeat(th[None, :], 11, axis=0)
     for j in range(5):
-        rows[2 * j, j] += h[j]
-        rows[2 * j + 1, j] -= h[j]
+        rows[2 * j + 1, j] += h[j]
+        rows[2 * j + 2, j] -= h[j]
     score = _evaluate(sample.values, rows)[1]
-    hess = (score[0::2] - score[1::2]).T / (2.0 * h)
+    hess = (score[1::2] - score[2::2]).T / (2.0 * h)
     if not np.all(np.isfinite(hess)):
         raise NonFiniteHessian("a second-derivative entry is not finite")
-    return 0.5 * (hess + hess.T)
+    return score[0], 0.5 * (hess + hess.T)

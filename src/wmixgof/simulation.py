@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, StudyAborted, WmixgofError
-from .estimation import FitConfig, fit_mle
+from .estimation import FitConfig, _scipy_openblas_threads, fit_mle
 from .gof_statistic import ad_statistic_uniform, ad_uniformity_pvalue, cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
 from .kernel_eigen import build_q_matrix, eigen_spectrum, simple_hypothesis_lambdas
@@ -83,6 +83,18 @@ def _replication_seeds(seed: int, rep: int) -> tuple:
     child = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
     s_sample, s_fit = child.generate_state(2, dtype=np.uint64)
     return int(s_sample), int(s_fit)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run numpy's and scipy's bundled OpenBLAS on one thread.
+
+    The windows already keep every core busy; OpenBLAS pools of one thread
+    per core in each worker would contend for the same cores.
+    """
+    for package in ("numpy", "scipy"):
+        threads = _scipy_openblas_threads(package)
+        if threads is not None:
+            threads[1](1)
 
 
 def _study_window(
@@ -157,8 +169,12 @@ def run_study(
     the replications [first_rep, first_rep + n_reps) can be split into
     windows: with ``processes > 1`` each window runs in its own spawned
     worker, and the pooled result equals that of one sequential run bit for
-    bit. ``processes=1`` runs in this process and starts no pool; a script
-    that asks for more needs the usual ``if __name__ == "__main__":`` guard.
+    bit. Each worker runs numpy's and scipy's bundled OpenBLAS on one
+    thread; from about ``grid_size=300`` the eigenvalues move in their last
+    bits with the BLAS thread count, so there the sequential run to compare
+    with is one made on one BLAS thread. ``processes=1`` runs in this
+    process and starts no pool; a script that asks for more needs the usual
+    ``if __name__ == "__main__":`` guard.
     """
     if n_reps < 1:
         raise DomainError("n_reps must be at least 1")
@@ -186,7 +202,9 @@ def run_study(
         firsts = range(first_rep, first_rep + n_reps, per)
         counts = [min(per, first_rep + n_reps - f) for f in firsts]
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=len(firsts), mp_context=context) as pool:
+        with ProcessPoolExecutor(
+            max_workers=len(firsts), mp_context=context, initializer=_one_blas_thread
+        ) as pool:
             parts = list(pool.map(window, firsts, counts))
     n_failed = sum(f for _, f in parts)
     if n_failed > 0.2 * n_reps:

@@ -257,7 +257,7 @@ class TestExitCodes:
         def non_finite(theta, sample):
             raise NonFiniteHessian("forced")
 
-        monkeypatch.setattr(estimation, "hessian_at", non_finite)
+        monkeypatch.setattr(estimation, "_score_and_hessian", non_finite)
         result = runner.invoke(main, args + ["-i", pop5_file])
         assert result.exit_code == 3
         assert "error: fit: forced" in result.output
@@ -268,8 +268,11 @@ class TestExitCodes:
             ["test", "-m", "1"],
             ["test", "--n-starts", "0"],
             ["fit", "--tolerance", "0"],
+            ["fit", "--tolerance", "nan"],
             ["test", "--tail-tolerance", "1.5"],
+            ["test", "--tail-tolerance", "nan"],
             ["test", "--imhof-tolerance", "0"],
+            ["test", "--imhof-tolerance", "nan"],
             ["simulate", "--population", "1", "--n-starts", "0"],
             ["eigen-check", "-m", "1"],
         ],

@@ -154,7 +154,7 @@ class TestFitMle:
 
     def test_all_starts_failed(self, populations, monkeypatch):
         def boundary_starts(x, starts, config):
-            return [(np.array([1.0, 1.0, 1.0, 1.0, 1e-6]), -1.0) for _ in starts]
+            return [(np.array([1.0, 1.0, 1.0, 1.0, 1e-6]), -1.0) for _ in starts], 1, len(starts)
 
         monkeypatch.setattr(estimation, "_optimize_starts", boundary_starts)
         sample = sample_mixture(populations[0].theta, 50, rng_seed=2)
@@ -166,6 +166,8 @@ class TestFitMle:
             FitConfig(n_starts=0)
         with pytest.raises(DomainError):
             FitConfig(tolerance=0.0)
+        with pytest.raises(DomainError):
+            FitConfig(tolerance=math.nan)
 
 
 class TestHessian:
@@ -210,7 +212,15 @@ def _ref_terms(x, th):
     lf2 = math.log(a2 / b2) + (a2 - 1.0) * l2 - u2
     t1 = (math.log(p) if p > 0.0 else -math.inf) + lf1
     t2 = (math.log1p(-p) if p < 1.0 else -math.inf) + lf2
-    return lf1, lf2, t1, t2, estimation._logaddexp2way(t1, t2), u1, u2, l1, l2
+    return lf1, lf2, t1, t2, _ref_logaddexp(t1, t2), u1, u2, l1, l2
+
+
+def _ref_logaddexp(t1, t2):
+    """Elementwise log(exp(t1) + exp(t2)), tolerating -inf in both slots."""
+    hi = np.maximum(t1, t2)
+    with np.errstate(invalid="ignore"):
+        out = hi + np.log1p(np.exp(-np.abs(t1 - t2)))
+    return np.where(np.isfinite(hi), out, hi)
 
 
 def _ref_loglik(x, th):
@@ -270,12 +280,15 @@ def _ref_nll_eta4(eta4, x, p):
 
 
 def _ref_optimize_start(x, theta0, config):
+    """(theta, log-likelihood, parameter vectors evaluated) of one start."""
+    n_evaluations = 0
     eta = estimation._to_eta(theta0)
     bounds4 = [(-estimation._ETA_BOUND, estimation._ETA_BOUND)] * 4
     bounds5 = bounds4 + [(-estimation._LOGIT_BOUND, estimation._LOGIT_BOUND)]
     ll_prev = -math.inf
     for _ in range(estimation._EM_CYCLES):
         resp = _ref_responsibility_mean(x, estimation._from_eta(eta))
+        n_evaluations += 1
         p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
         eta[4] = float(logit(p_new))
         res = minimize(
@@ -288,6 +301,7 @@ def _ref_optimize_start(x, theta0, config):
             options={"maxiter": 25, "ftol": 1e-12},
         )
         eta[:4] = res.x
+        n_evaluations += res.nfev
         ll = -float(res.fun)
         if ll - ll_prev <= 1e-9 * (1.0 + abs(ll)):
             break
@@ -301,15 +315,20 @@ def _ref_optimize_start(x, theta0, config):
         bounds=bounds5,
         options={"maxiter": config.max_iterations, "ftol": 1e-13, "gtol": 1e-9},
     )
-    return estimation._from_eta(res.x), -float(res.fun)
+    return estimation._from_eta(res.x), -float(res.fun), n_evaluations + res.nfev
 
 
 def _ref_fit(sample, config):
-    """(theta_hat, log-likelihood, hessian, local optima, boundary starts, converged)."""
+    """(theta_hat, log-likelihood, hessian, local optima, boundary starts, converged,
+    lockstep rounds, parameter vectors evaluated).
+
+    Run in lockstep, the starts take one round per vector they evaluate.
+    """
     x = sample.values
-    admissible, n_boundary = [], 0
+    admissible, n_boundary, per_start = [], 0, []
     for theta0 in estimation._starting_points(x, config):
-        th, ll = _ref_optimize_start(x, theta0, config)
+        th, ll, n_evaluations = _ref_optimize_start(x, theta0, config)
+        per_start.append(n_evaluations)
         if math.isfinite(ll) and 0.001 <= th[4] <= 0.999:
             admissible.append((th, ll))
         else:
@@ -328,7 +347,8 @@ def _ref_fit(sample, config):
         tm[j] -= h[j]
         hess[:, j] = (_ref_score(x, tp) - _ref_score(x, tm)) / (2.0 * h[j])
     hess = 0.5 * (hess + hess.T)
-    return theta_hat, ll_best, hess, [ll for _, ll in admissible], n_boundary, converged
+    optima = [ll for _, ll in admissible]
+    return theta_hat, ll_best, hess, optima, n_boundary, converged, max(per_start), sum(per_start)
 
 
 _EQUIVALENCE_CASES = [(pop, n, 700 + 10 * pop + n // 100) for pop in range(5) for n in (100, 300)]
@@ -341,23 +361,45 @@ class TestLockstepMatchesPerStartMinimize:
         sample = sample_mixture(populations[pop_index].theta, n, rng_seed=seed)
         config = FitConfig(seed=seed)
         fit = fit_mle(sample, config)
-        theta_hat, ll, hess, optima, n_boundary, converged = _ref_fit(sample, config)
+        theta_hat, ll, hess, optima, n_boundary, converged, n_rounds, n_evaluations = _ref_fit(
+            sample, config
+        )
         assert fit.theta_hat.as_array().tobytes() == theta_hat.as_array().tobytes()
         assert fit.log_likelihood == ll
         assert fit.hessian.tobytes() == hess.tobytes()
         assert fit.best_of_likelihoods == optima
         assert fit.n_boundary_starts == n_boundary
         assert fit.converged == converged
+        assert (fit.n_rounds, fit.n_evaluations) == (n_rounds, n_evaluations)
 
     def test_batched_rows_match_single_rows(self, fitted_pop2):
         sample, fit = fitted_pop2
+        x = sample.values
         rows = fit.theta_hat.as_array() * np.exp(np.linspace(-0.4, 0.4, 35).reshape(7, 5))
         rows[:, 4] = np.linspace(0.0, 1.0, 7)
-        ll, score, resp = estimation._evaluate(sample.values, rows)
+        # A very large shape makes one component's weight exactly 0 at some
+        # points but not at others, through an underflowing density (50) or
+        # an overflowing (x/b)**a (2000).
+        spiky = np.repeat(fit.theta_hat.as_array()[None, :], 4, axis=0)
+        spiky[[0, 1], 0] = (50.0, 2000.0)
+        spiky[[2, 3], 1] = (50.0, 2000.0)
+        rows = np.vstack([rows, spiky])
+        partial, overflow = set(), set()
+        for i, row in enumerate(spiky, start=7):
+            lf1, lf2, t1, t2, lse, u1, u2, *_ = _ref_terms(x, row)
+            with np.errstate(invalid="ignore"):
+                zeros = [np.exp(t - lse) == 0.0 for t in (t1, t2)]
+            if any(0 < np.sum(z) < x.size for z in zeros):
+                partial.add(i)
+            if np.any(np.isinf(u1)) or np.any(np.isinf(u2)):
+                overflow.add(i)
+        assert partial == {7, 8, 9, 10}
+        assert overflow == {8, 10}
+        ll, score, resp = estimation._evaluate(x, rows)
         for i, row in enumerate(rows):
-            assert ll[i] == _ref_loglik(sample.values, row)
-            assert score[i].tobytes() == _ref_score(sample.values, row).tobytes()
-            assert resp[i] == _ref_responsibility_mean(sample.values, row)
+            assert ll[i] == _ref_loglik(x, row)
+            assert score[i].tobytes() == _ref_score(x, row).tobytes()
+            assert resp[i] == _ref_responsibility_mean(x, row)
 
 
 _FIT_SCRIPT = """

@@ -1,4 +1,6 @@
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +17,14 @@ from wmixgof import (
     benchmark_populations,
     run_study,
 )
+import wmixgof.estimation as estimation
 import wmixgof.simulation as simulation
+
+
+def blas_thread_counts():
+    """Thread counts of numpy's and scipy's bundled OpenBLAS, where present."""
+    found = (estimation._scipy_openblas_threads(p) for p in ("numpy", "scipy"))
+    return [threads[0]() for threads in found if threads is not None]
 
 
 def assert_same_study(a, b):
@@ -187,3 +196,31 @@ class TestRunStudy:
             warnings.simplefilter("error")
             res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
         assert res.p_values.tolist() == [0.7197759499073867]
+
+    def test_workers_run_blas_on_one_thread(self, populations, monkeypatch):
+        numpy_blas = estimation._scipy_openblas_threads("numpy")
+        if numpy_blas is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        seen = []
+
+        class Probing(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.submit(blas_thread_counts).result(timeout=120))
+
+        environ = dict(os.environ)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Probing)
+        kwargs = dict(seed=21, grid_size=300)
+        pooled = run_study(populations[4], 2, 60, processes=2, **kwargs)
+        assert seen == [[1] * len(blas_thread_counts())]
+        assert dict(os.environ) == environ
+        # From about m=300 the eigenvalues move in their last bits with the
+        # BLAS thread count, so workers match one process on one thread.
+        get_threads, set_threads = numpy_blas
+        before = get_threads()
+        set_threads(1)
+        try:
+            alone = run_study(populations[4], 2, 60, **kwargs)
+        finally:
+            set_threads(before)
+        assert_same_study(pooled, alone)
