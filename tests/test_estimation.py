@@ -1,10 +1,12 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import logit
@@ -438,23 +440,25 @@ for pop_index, seed in ((0, 41), (2, 42), (4, 43)):
 """
 
 
+def _fresh_interpreter_output(script, **environ):
+    """Standard output of ``script`` in a fresh interpreter with ``src`` on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wmixgof.__file__)))
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return proc.stdout
+
+
 def _outputs_under_blas_threads(script):
     """Standard output of ``script`` run with OPENBLAS_NUM_THREADS=1 and =2."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wmixgof.__file__)))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    return outputs
+    return [_fresh_interpreter_output(script, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
 
 
 def test_fits_identical_across_blas_thread_counts():
@@ -492,3 +496,38 @@ def test_lbfgsb_runs_on_one_scipy_blas_thread(monkeypatch, fitted_pop1):
         set_threads(outer)
     assert seen[0] == 1
     assert again.theta_hat.as_array().tobytes() == fit.theta_hat.as_array().tobytes()
+
+
+def test_cli_import_leaves_scipy_optimize_and_special_unimported():
+    # Their package __init__s cost about 0.45 s of every fresh interpreter.
+    script = (
+        "import sys, wmixgof.cli\n"
+        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+    )
+    assert _fresh_interpreter_output(script) == "[]\n"
+
+
+_NEAR = np.concatenate([np.linspace(c - 1e-3, c + 1e-3, 2001) for c in (0.3, 0.65)])
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [
+        # _to_eta's clip of p, with dense points around two start proportions
+        ("logit", np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 200001), _NEAR])),
+        # the logit box
+        ("expit", np.linspace(-13.8, 13.8, 200001)),
+        # 1 + 1/alpha over _moment_weibull's clip of the shape
+        ("gammaln", 1.0 + 1.0 / np.linspace(0.15, 60.0, 200001)),
+    ],
+)
+def test_loaded_special_functions_match_scipy_special(name, x):
+    ours, theirs = getattr(estimation, name), getattr(scipy.special, name)
+    assert ours(x).tobytes() == theirs(x).tobytes()
+    assert all(ours(float(v)) == theirs(float(v)) for v in x[::997])
+
+
+def test_missing_scipy_extension_names_its_path():
+    path = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    with pytest.raises(ImportError, match=re.escape(path)):
+        estimation._scipy_extension("optimize", "_no_such_module")
