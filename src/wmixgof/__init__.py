@@ -22,34 +22,19 @@ from .errors import (
     TooFewObservations,
     WmixgofError,
 )
-from .estimation import FitConfig, FitResult, fit_mle, hessian_at, log_likelihood
-from .gof_statistic import (
-    TransformedSample,
-    ad_statistic_uniform,
-    ad_uniformity_pvalue,
-    cvm_statistic,
-    pit,
-)
+from .estimation import FitConfig, FitResult, fit_mle, hessian_at
+from .gof_statistic import ad_statistic_uniform, ad_uniformity_pvalue, cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
-from .kernel_eigen import (
-    EigenSpectrum,
-    KernelMatrix,
-    brownian_bridge_q,
-    build_q_matrix,
-    eigen_spectrum,
-    simple_hypothesis_lambdas,
+from .kernel_eigen import build_q_matrix, eigen_spectrum, simple_hypothesis_lambdas
+from .mixture_model import MixtureParams, Sample, sample_mixture
+from .simulation import (
+    GofOutcome,
+    PopulationSpec,
+    StudyResult,
+    benchmark_populations,
+    gof_test,
+    run_study,
 )
-from .mixture_model import (
-    GradF,
-    MixtureParams,
-    Sample,
-    cdf_gradient,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_quantile,
-    sample_mixture,
-)
-from .simulation import PopulationSpec, StudyResult, benchmark_populations, run_study
 
 __all__ = [
     "__version__",
@@ -58,11 +43,9 @@ __all__ = [
     "DegenerateInput",
     "DomainError",
     "EigenSolverFailure",
-    "EigenSpectrum",
     "FitConfig",
     "FitResult",
-    "GradF",
-    "KernelMatrix",
+    "GofOutcome",
     "MixtureParams",
     "NonFiniteHessian",
     "PopulationSpec",
@@ -72,24 +55,18 @@ __all__ = [
     "StudyAborted",
     "StudyResult",
     "TooFewObservations",
-    "TransformedSample",
     "WeightedChiSquare",
     "WmixgofError",
     "ad_statistic_uniform",
     "ad_uniformity_pvalue",
     "benchmark_populations",
-    "brownian_bridge_q",
     "build_q_matrix",
-    "cdf_gradient",
     "cvm_statistic",
     "eigen_spectrum",
     "fit_mle",
+    "gof_test",
     "hessian_at",
     "imhof_tail",
-    "log_likelihood",
-    "mixture_cdf",
-    "mixture_pdf",
-    "mixture_quantile",
     "pit",
     "run_study",
     "sample_mixture",

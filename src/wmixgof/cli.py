@@ -20,16 +20,9 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, StudyAborted, WmixgofError
 from .estimation import FitConfig, FitResult, fit_mle
-from .gof_statistic import cvm_statistic, pit
-from .imhof import WeightedChiSquare, imhof_tail
-from .kernel_eigen import (
-    brownian_bridge_q,
-    build_q_matrix,
-    eigen_spectrum,
-    simple_hypothesis_lambdas,
-)
+from .kernel_eigen import brownian_bridge_q, eigen_spectrum, simple_hypothesis_lambdas
 from .mixture_model import MixtureParams, Sample
-from .simulation import PopulationSpec, benchmark_populations, run_study
+from .simulation import PopulationSpec, benchmark_populations, gof_test, run_study
 
 EXIT_PARSE = 2
 EXIT_FIT = 3
@@ -279,18 +272,16 @@ def cmd_test(
     p-value.
     """
     sample = _read_sample(input_path)
-    fit = fit_mle(sample, FitConfig(n_starts, tolerance, max_iterations, seed))
-    w2 = cvm_statistic(pit(sample, fit.theta_hat))
-    q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
-    spectrum = eigen_spectrum(q, tail_tolerance)
-    p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2, imhof_tolerance)
+    config = FitConfig(n_starts, tolerance, max_iterations, seed)
+    outcome = gof_test(sample, config, grid_size, tail_tolerance, imhof_tolerance)
+    spectrum = outcome.spectrum
     report = {
         "command": "test",
         "version": __version__,
         "config": _config_echo(),
         "input": {"path": input_path, "n": sample.n},
-        "fit": _fit_section(fit),
-        "statistic": {"w2": w2},
+        "fit": _fit_section(outcome.fit),
+        "statistic": {"w2": outcome.w2},
         "eigenvalues": {
             "n_retained": spectrum.n_retained,
             "trace_captured": spectrum.trace_captured,
@@ -298,12 +289,12 @@ def cmd_test(
             "min_eigenvalue": spectrum.min_eigenvalue,
             "retained": [float(v) for v in spectrum.retained],
         },
-        "p_value": p_value,
+        "p_value": outcome.p_value,
         # A failed inversion raises ConvergenceError (exit 4), so a written
         # report has none by construction.
         "diagnostics": {
             "quantile_inversion_failures": 0,
-            "quantile_bisection_fallbacks": q.n_bisection_fallbacks,
+            "quantile_bisection_fallbacks": outcome.n_bisection_fallbacks,
         },
     }
     _emit(report, output)
@@ -346,8 +337,8 @@ def cmd_simulate(
     processes,
 ):
     """Monte Carlo uniformity study of the approximate p-values."""
-    if population is None and theta_text is None:
-        raise click.UsageError("provide --population or --theta")
+    if (population is None) == (theta_text is None):
+        raise click.UsageError("provide exactly one of --population and --theta")
     if theta_text is not None:
         spec = PopulationSpec(theta=_parse_theta(theta_text), label="custom")
     else:

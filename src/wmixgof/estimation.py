@@ -31,7 +31,7 @@ import scipy
 from .errors import AllStartsFailed, DomainError, NonFiniteHessian, TooFewObservations
 from .mixture_model import MixtureParams, Sample
 
-__all__ = ["FitConfig", "FitResult", "log_likelihood", "fit_mle", "hessian_at"]
+__all__ = ["FitConfig", "FitResult", "fit_mle", "hessian_at"]
 
 
 def _scipy_extension(package: str, module: str):
@@ -182,16 +182,6 @@ def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
     ll = sums[5]
     ll[~np.isfinite(ll)] = -math.inf
     return ll, sums[:5].T, sums[6] / n
-
-
-def log_likelihood(theta: MixtureParams, sample: Sample) -> float:
-    """Total log-likelihood of the sample, safeguarded against underflow.
-
-    Per-point densities are assembled on the log scale (log-sum-exp over
-    the two components); if a point's density still underflows to zero the
-    function returns -inf rather than raising.
-    """
-    return float(_evaluate(sample.values, theta.as_array()[None, :])[0][0])
 
 
 def _to_eta(th: np.ndarray) -> np.ndarray:

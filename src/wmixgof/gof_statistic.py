@@ -9,60 +9,37 @@ p-value) checks uniformity of simulated p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, DomainError
 from .mixture_model import MixtureParams, Sample, mixture_cdf
 
-__all__ = [
-    "TransformedSample",
-    "pit",
-    "cvm_statistic",
-    "ad_statistic_uniform",
-    "ad_uniformity_pvalue",
-]
+__all__ = ["pit", "cvm_statistic", "ad_statistic_uniform", "ad_uniformity_pvalue"]
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedSample:
-    """Probability integral transforms of an ordered sample, in [0, 1]."""
-
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        z = np.sort(np.asarray(self.z, dtype=float).ravel())
-        if z.size == 0:
-            raise DomainError("transformed sample must be nonempty")
-        if not np.all(np.isfinite(z)) or z[0] < 0.0 or z[-1] > 1.0:
-            raise DomainError("transformed values must lie in [0, 1]")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def n(self) -> int:
-        return int(self.z.size)
-
-
-def pit(sample: Sample, theta: MixtureParams) -> TransformedSample:
+def pit(sample: Sample, theta: MixtureParams) -> np.ndarray:
     """Transform each observation through the mixture CDF.
 
     Monotonicity of the CDF preserves the sample order, so the result is
-    the ordered batch z_i = F(x_i, theta).
+    the ordered array z_i = F(x_i, theta).
     """
-    return TransformedSample(mixture_cdf(sample.values, theta))
+    return mixture_cdf(sample.values, theta)
 
 
-def cvm_statistic(transformed: TransformedSample) -> float:
-    """Cramer-von Mises statistic of an ordered uniform sample.
+def cvm_statistic(z) -> float:
+    """Cramer-von Mises statistic of transforms z in [0, 1], sorted here.
 
     W2 = sum_i (z_i - (2i-1)/(2n))**2 + 1/(12n), which equals
     n * Int (F_n - F)**2 dF for the ordered transforms z_i. Minimized, at
     1/(12n), when the z_i sit exactly on the uniform plotting positions.
     """
-    z = transformed.z
-    n = transformed.n
+    z = np.sort(np.asarray(z, dtype=float).ravel())
+    if z.size == 0:
+        raise DomainError("transformed sample must be nonempty")
+    if not np.all(np.isfinite(z)) or z[0] < 0.0 or z[-1] > 1.0:
+        raise DomainError("transformed values must lie in [0, 1]")
+    n = z.size
     positions = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     return float(np.sum((z - positions) ** 2) + 1.0 / (12.0 * n))
 

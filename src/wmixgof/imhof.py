@@ -72,8 +72,8 @@ def imhof_tail(dist: WeightedChiSquare, x: float, tol: float = 1e-6) -> float:
     return float(min(max(0.5 + integral / math.pi, 0.0), 1.0))
 
 
-def _rho(lam: np.ndarray, u: float) -> float:
-    return math.exp(0.25 * float(np.sum(np.log1p((lam * u) ** 2))))
+def _log_rho(lam: np.ndarray, u: float) -> float:
+    return 0.25 * float(np.sum(np.log1p((lam * u) ** 2)))
 
 
 def _truncation_point(lam: np.ndarray, x: float, bound: float) -> float:
@@ -99,9 +99,11 @@ def _truncation_point(lam: np.ndarray, x: float, bound: float) -> float:
 
     u_star = 2.0 * math.sqrt(float(np.sum(1.0 / lam)) / x)
     u_osc = max(u_star, 1.0)
-    target = 4.0 / (x * bound)
+    # on the log scale: for a small x, u_star is large and rho(u_star)
+    # overflows a double
+    log_target = math.log(4.0 / (x * bound))
     for _ in range(200):
-        if u_osc * _rho(lam, u_osc) >= target or u_osc >= u_modulus:
+        if math.log(u_osc) + _log_rho(lam, u_osc) >= log_target or u_osc >= u_modulus:
             break
         u_osc *= 2.0
     return min(u_modulus, u_osc)

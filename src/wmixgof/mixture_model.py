@@ -22,20 +22,15 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "MixtureParams",
     "Sample",
-    "GradF",
     "mixture_pdf",
     "mixture_cdf",
-    "mixture_quantile",
     "invert_cdf",
-    "cdf_gradient",
     "cdf_gradients",
     "sample_mixture",
-    "DEFAULT_QUANTILE_EPS",
 ]
 
-#: Default stopping width for quantile inversion.
-DEFAULT_QUANTILE_EPS = 5e-6
-
+# Stopping width and iteration caps of quantile inversion.
+_QUANTILE_EPS = 5e-6
 _MAX_SECANT_ITER = 200
 _MAX_BISECT_ITER = 300
 # Residual threshold paired with the step-width stopping rule so the
@@ -119,20 +114,6 @@ class Sample:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class GradF:
-    """Partial derivatives of the mixture CDF at one point, by parameter."""
-
-    d_alpha1: float
-    d_alpha2: float
-    d_beta1: float
-    d_beta2: float
-    d_p: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d_alpha1, self.d_alpha2, self.d_beta1, self.d_beta2, self.d_p])
-
-
 def _as_positive(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -185,38 +166,20 @@ def _weibull_cdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     return -np.expm1(-u)
 
 
-def mixture_quantile(
-    t: float,
-    theta: MixtureParams,
-    eps: float = DEFAULT_QUANTILE_EPS,
-    max_iter: int = _MAX_SECANT_ITER,
-) -> float:
-    """Invert the mixture CDF at one level t in (0, 1); see ``invert_cdf``."""
-    x, _ = invert_cdf(np.array([float(t)]), theta, eps, max_iter)
-    return float(x[0])
-
-
-def invert_cdf(
-    levels,
-    theta: MixtureParams,
-    eps: float = DEFAULT_QUANTILE_EPS,
-    max_iter: int = _MAX_SECANT_ITER,
-) -> tuple[np.ndarray, int]:
+def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
     """Invert the mixture CDF at a 1-D array of levels in (0, 1) at once.
 
     Returns the quantiles and the number of levels that needed bisection.
     The single-component quantiles beta_i * (-log(1-t))**(1/alpha_i) start
     a secant iteration that runs on all levels in lockstep; in practice
     they bracket the root. A level leaves the iteration once two
-    consecutive points are within ``eps`` and the residual is negligible.
-    Levels whose secant cycles or leaves (0, inf) are finished together by
-    a bisection on a geometrically grown bracket.
+    consecutive points are within ``_QUANTILE_EPS`` and the residual is
+    negligible. Levels whose secant cycles or leaves (0, inf) are finished
+    together by a bisection on a geometrically grown bracket.
     """
     t = np.asarray(levels, dtype=float)
     if t.ndim != 1 or not np.all((t > 0.0) & (t < 1.0)):
         raise DomainError("quantile levels must lie strictly inside (0, 1)")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
 
     w = -np.log1p(-t)
     x0 = theta.beta1 * w ** (1.0 / theta.alpha1)
@@ -228,7 +191,7 @@ def invert_cdf(
     idx = np.arange(t.size)
     a, b = x0, x1
     ga, gb = _cdf(a, theta) - t, _cdf(b, theta) - t
-    for _ in range(max_iter):
+    for _ in range(_MAX_SECANT_ITER):
         if idx.size == 0:
             break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -237,7 +200,7 @@ def invert_cdf(
         go = (gb != ga) & np.isfinite(c) & (c > 0.0)
         idx, a, b, ga, gb, c = idx[go], a[go], b[go], ga[go], gb[go], c[go]
         gc = _cdf(c, theta) - t[idx]
-        done = (np.abs(c - b) < eps) & (np.abs(gc) < _RESIDUAL_TOL)
+        done = (np.abs(c - b) < _QUANTILE_EPS) & (np.abs(gc) < _RESIDUAL_TOL)
         x[idx[done]] = c[done]
         solved[idx[done]] = True
         go = ~done
@@ -245,13 +208,13 @@ def invert_cdf(
 
     bisect = np.flatnonzero(~solved)
     if bisect.size:
-        x[bisect] = _bisect_quantiles(t[bisect], x0[bisect], x1[bisect], theta, eps)
+        x[bisect] = _bisect_quantiles(t[bisect], x0[bisect], x1[bisect], theta)
     x.setflags(write=False)
     return x, int(bisect.size)
 
 
 def _bisect_quantiles(
-    t: np.ndarray, x0: np.ndarray, x1: np.ndarray, theta: MixtureParams, eps: float
+    t: np.ndarray, x0: np.ndarray, x1: np.ndarray, theta: MixtureParams
 ) -> np.ndarray:
     """Bisection at every level at once, each with its own bracket."""
 
@@ -295,18 +258,13 @@ def _bisect_quantiles(
         below = gm < 0.0
         lo[i[below]] = mid[i[below]]
         hi[i[~below]] = mid[i[~below]]
-        done = (hi[i] - lo[i] < eps) & (np.abs(gm) <= _RESIDUAL_TOL)
+        done = (hi[i] - lo[i] < _QUANTILE_EPS) & (np.abs(gm) <= _RESIDUAL_TOL)
         active[i[done]] = False
         solved[i[done]] = True
     rest = np.flatnonzero(~solved)
     if np.any(np.abs(g(mid[rest], rest)) > 1e-8):
         raise ConvergenceError("quantile inversion did not converge")
     return mid
-
-
-def cdf_gradient(x: float, theta: MixtureParams) -> GradF:
-    """Gradient of the mixture CDF at one point; see ``cdf_gradients``."""
-    return GradF(*cdf_gradients(float(x), theta).tolist())
 
 
 def cdf_gradients(x, theta: MixtureParams) -> np.ndarray:
@@ -342,7 +300,7 @@ def _component_partials(x: np.ndarray, alpha: float, beta: float):
     return np.where(inside, da, 0.0), np.where(inside, db, 0.0), np.where(inside, su, 0.0)
 
 
-def sample_mixture(theta: MixtureParams, n: int, rng_seed: int, label: str = "") -> Sample:
+def sample_mixture(theta: MixtureParams, n: int, rng_seed: int) -> Sample:
     """Draw n independent observations from the mixture, sorted ascending.
 
     Each draw picks component 1 with probability p and inverts the
@@ -361,4 +319,4 @@ def sample_mixture(theta: MixtureParams, n: int, rng_seed: int, label: str = "")
         theta.beta1 * e ** (1.0 / theta.alpha1),
         theta.beta2 * e ** (1.0 / theta.alpha2),
     )
-    return Sample(draws, label=label)
+    return Sample(draws)

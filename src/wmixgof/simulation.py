@@ -1,29 +1,34 @@
-"""Monte Carlo calibration of the goodness-of-fit pipeline.
+"""The goodness-of-fit test and its Monte Carlo calibration.
 
-If the approximate p-values are valid, p-values computed on samples drawn
-from the null model must be uniform on [0, 1]. The study repeats the full
-pipeline (sample, fit, transform, statistic, kernel eigenvalues, tail
-probability) and applies an Anderson-Darling uniformity test to the
-collected p-values.
+``gof_test`` runs the test's one chain: fit, transform, statistic, kernel
+eigenvalues, tail probability. If the approximate p-values are valid,
+p-values computed on samples drawn from the null model must be uniform on
+[0, 1]. The study repeats the chain on seeded samples and applies an
+Anderson-Darling uniformity test to the collected p-values.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateInput, DomainError, StudyAborted, WmixgofError
-from .estimation import FitConfig, _scipy_openblas_threads, fit_mle
+from .estimation import FitConfig, FitResult, _scipy_openblas_threads, fit_mle
 from .gof_statistic import ad_statistic_uniform, ad_uniformity_pvalue, cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
-from .kernel_eigen import build_q_matrix, eigen_spectrum, simple_hypothesis_lambdas
-from .mixture_model import MixtureParams, sample_mixture
+from .kernel_eigen import EigenSpectrum, build_q_matrix, eigen_spectrum, simple_hypothesis_lambdas
+from .mixture_model import MixtureParams, Sample, sample_mixture
 
-__all__ = ["PopulationSpec", "StudyResult", "benchmark_populations", "run_study"]
+__all__ = [
+    "GofOutcome",
+    "PopulationSpec",
+    "StudyResult",
+    "benchmark_populations",
+    "gof_test",
+    "run_study",
+]
 
 # Exact p-values of 0 or 1 cannot enter the Anderson-Darling logs; clipping
 # this far out is invisible at any realistic replication count.
@@ -97,6 +102,42 @@ def _one_blas_thread() -> None:
             threads[1](1)
 
 
+@dataclass(frozen=True, eq=False)
+class GofOutcome:
+    """What one goodness-of-fit test produced, from the fit to the p-value.
+
+    ``n_bisection_fallbacks`` counts the kernel grid levels whose quantile
+    inversion fell back from the secant to bisection.
+    """
+
+    fit: FitResult
+    w2: float
+    spectrum: EigenSpectrum
+    p_value: float
+    n_bisection_fallbacks: int
+
+
+def gof_test(
+    sample: Sample,
+    fit_config: FitConfig,
+    grid_size: int,
+    tail_tolerance: float,
+    imhof_tolerance: float,
+) -> GofOutcome:
+    """Test the sample against the two-component Weibull mixture family.
+
+    Fits the mixture, computes the Cramer-von Mises statistic of the
+    transformed sample and takes its p-value from the eigenvalues of the
+    kernel estimated at the fit, on a grid of ``grid_size`` levels.
+    """
+    fit = fit_mle(sample, fit_config)
+    w2 = cvm_statistic(pit(sample, fit.theta_hat))
+    q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
+    spectrum = eigen_spectrum(q, tail_tolerance)
+    p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2, imhof_tolerance)
+    return GofOutcome(fit, w2, spectrum, p_value, q.n_bisection_fallbacks)
+
+
 def _study_window(
     population: PopulationSpec,
     sample_size: int,
@@ -124,15 +165,12 @@ def _study_window(
         sample = sample_mixture(population.theta, sample_size, s_sample)
         try:
             if estimate_parameters:
-                fit = fit_mle(sample, replace(fit_config, seed=s_fit))
-                w2 = cvm_statistic(pit(sample, fit.theta_hat))
-                q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
-                spectrum = eigen_spectrum(q, tail_tolerance)
-                weights = WeightedChiSquare(spectrum.retained)
+                config = replace(fit_config, seed=s_fit)
+                outcome = gof_test(sample, config, grid_size, tail_tolerance, imhof_tolerance)
+                p_values.append(outcome.p_value)
             else:
                 w2 = cvm_statistic(pit(sample, population.theta))
-                weights = known_lambdas
-            p_values.append(imhof_tail(weights, w2, imhof_tolerance))
+                p_values.append(imhof_tail(known_lambdas, w2, imhof_tolerance))
         except WmixgofError as exc:
             if exc.stage is None:
                 raise
@@ -198,6 +236,9 @@ def run_study(
     if processes == 1:
         parts = [window(first_rep, n_reps)]
     else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         per = -(-n_reps // processes)
         firsts = range(first_rep, first_rep + n_reps, per)
         counts = [min(per, first_rep + n_reps - f) for f in firsts]

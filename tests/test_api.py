@@ -1,0 +1,82 @@
+"""The package namespace: pinned, and sufficient for the benchmark scripts."""
+
+import ast
+import importlib
+import os
+
+import wmixgof
+import wmixgof.cli  # noqa: F401  (makes the submodule an attribute, as perfbench sees it)
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def test_public_names_are_pinned():
+    assert sorted(wmixgof.__all__) == [
+        "AllStartsFailed",
+        "ConvergenceError",
+        "DegenerateInput",
+        "DomainError",
+        "EigenSolverFailure",
+        "FitConfig",
+        "FitResult",
+        "GofOutcome",
+        "MixtureParams",
+        "NonFiniteHessian",
+        "PopulationSpec",
+        "QuadratureFailure",
+        "Sample",
+        "SingularInformation",
+        "StudyAborted",
+        "StudyResult",
+        "TooFewObservations",
+        "WeightedChiSquare",
+        "WmixgofError",
+        "__version__",
+        "ad_statistic_uniform",
+        "ad_uniformity_pvalue",
+        "benchmark_populations",
+        "build_q_matrix",
+        "cvm_statistic",
+        "eigen_spectrum",
+        "fit_mle",
+        "gof_test",
+        "hessian_at",
+        "imhof_tail",
+        "pit",
+        "run_study",
+        "sample_mixture",
+        "simple_hypothesis_lambdas",
+    ]
+    assert all(hasattr(wmixgof, name) for name in wmixgof.__all__)
+
+
+def _wmixgof_names(path):
+    """(module, name) for each name the script imports from wmixgof or reads as wmixgof.X."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wmixgof":
+            found += [(node.module, alias.name) for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "wmixgof"
+        ):
+            found.append(("wmixgof", node.attr))
+    return found
+
+
+def test_benchmark_scripts_find_every_name_they_use():
+    used = [
+        (script, module, name)
+        for script in ("workloads.py", "worker.py")
+        for module, name in _wmixgof_names(os.path.join(PERFBENCH, script))
+    ]
+    assert {script for script, _, _ in used} == {"workloads.py", "worker.py"}
+    missing = [
+        (script, f"{module}.{name}")
+        for script, module, name in used
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

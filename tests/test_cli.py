@@ -16,6 +16,7 @@ from wmixgof import (
 from wmixgof.cli import main, read_observations, DataFileError
 import wmixgof.estimation as estimation
 import wmixgof.mixture_model as mixture_model
+from wmixgof.mixture_model import invert_cdf
 
 
 @pytest.fixture
@@ -134,6 +135,17 @@ class TestCmdTest:
         assert result.exit_code == 4
         assert "error: kernel: could not bracket the quantile" in result.output
 
+    def test_evenly_spaced_quantiles_at_m_1000(self, runner, tmp_path):
+        # the sample sits on the fitted quantiles, so W2 is near its least
+        # value 1/(12n) and the p-value near 1
+        levels = (np.arange(1000) + 0.5) / 1000
+        x, _ = invert_cdf(levels, benchmark_populations()[4].theta)
+        path = tmp_path / "even.txt"
+        path.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        result = runner.invoke(main, ["test", "-i", str(path), "-m", "1000"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["p_value"] > 0.999
+
     def test_lognormal_misfit_rejected_in_clear_majority(self, runner, tmp_path):
         rejections = 0
         for s in range(5):
@@ -165,6 +177,10 @@ class TestCmdSimulate:
     def test_needs_population_or_theta(self, runner):
         result = runner.invoke(main, ["simulate", "--n-reps", "1"])
         assert result.exit_code == 2
+        both = ["simulate", "--n-reps", "1", "--population", "5", "--theta", "2,8,1,4,0.5"]
+        result = runner.invoke(main, both)
+        assert result.exit_code == 2
+        assert "exactly one of --population and --theta" in result.output
 
     def test_population_index_selects_row(self, runner):
         result = runner.invoke(

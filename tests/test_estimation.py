@@ -20,14 +20,16 @@ from wmixgof import (
     TooFewObservations,
     fit_mle,
     hessian_at,
-    log_likelihood,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_quantile,
     sample_mixture,
 )
 import wmixgof
 import wmixgof.estimation as estimation
+from wmixgof.mixture_model import invert_cdf, mixture_cdf, mixture_pdf
+
+
+def log_likelihood(theta, sample):
+    """Total log-likelihood of the sample, as the fitter evaluates it (-inf on underflow)."""
+    return float(estimation._evaluate(sample.values, theta.as_array()[None, :])[0][0])
 
 
 def double_difference_hessian(theta, sample, rel_step=3e-4):
@@ -77,7 +79,7 @@ class TestLogLikelihood:
     def test_matches_entropy_integral(self, populations):
         # quadrature oracle: E[log f] and Var[log f] under the model
         theta = populations[0].theta
-        hi = mixture_quantile(1 - 1e-10, theta)
+        hi = float(invert_cdf(np.array([1 - 1e-10]), theta)[0][0])
         mean_lf, _ = quad(
             lambda x: mixture_pdf(x, theta) * math.log(mixture_pdf(x, theta)), 0, hi, limit=200
         )
@@ -498,12 +500,12 @@ def test_lbfgsb_runs_on_one_scipy_blas_thread(monkeypatch, fitted_pop1):
     assert again.theta_hat.as_array().tobytes() == fit.theta_hat.as_array().tobytes()
 
 
-def test_cli_import_leaves_scipy_optimize_and_special_unimported():
-    # Their package __init__s cost about 0.45 s of every fresh interpreter.
-    script = (
-        "import sys, wmixgof.cli\n"
-        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
-    )
+def test_cli_import_leaves_scipy_packages_and_process_pool_unimported():
+    # The scipy package __init__s cost about 0.45 s of every fresh
+    # interpreter, the process pool about 11 ms; only run_study's workers
+    # need the pool.
+    unused = ("scipy.optimize", "scipy.special", "multiprocessing", "concurrent.futures")
+    script = f"import sys, wmixgof.cli\nprint([m for m in {unused!r} if m in sys.modules])"
     assert _fresh_interpreter_output(script) == "[]\n"
 
 

@@ -8,16 +8,15 @@ from wmixgof import (
     FitConfig,
     MixtureParams,
     Sample,
-    TransformedSample,
     ad_statistic_uniform,
     ad_uniformity_pvalue,
     cvm_statistic,
     fit_mle,
-    mixture_quantile,
     pit,
     sample_mixture,
 )
 from wmixgof.gof_statistic import _ad_asymptotic_cdf
+from wmixgof.mixture_model import invert_cdf
 
 
 def w2_by_quadrature(z):
@@ -40,63 +39,62 @@ def w2_by_quadrature(z):
 class TestPit:
     def test_median_point_maps_to_half(self, populations):
         theta = populations[1].theta
-        x = mixture_quantile(0.5, theta)
-        ts = pit(Sample([x]), theta)
-        assert ts.z[0] == pytest.approx(0.5, abs=1e-5)
+        x, _ = invert_cdf(np.array([0.5]), theta)
+        z = pit(Sample(x), theta)
+        assert z[0] == pytest.approx(0.5, abs=1e-5)
 
     def test_true_parameters_give_uniform_transforms(self, populations):
         theta = populations[1].theta
         sample = sample_mixture(theta, 5000, rng_seed=91)
-        z = pit(sample, theta).z
+        z = pit(sample, theta)
         assert ad_uniformity_pvalue(ad_statistic_uniform(z)) > 0.01
 
     def test_fitted_transforms_strictly_interior(self, populations):
         theta = populations[3].theta
         sample = sample_mixture(theta, 200, rng_seed=404)
         fit = fit_mle(sample, FitConfig(seed=4))
-        z = pit(sample, fit.theta_hat).z
+        z = pit(sample, fit.theta_hat)
         assert z[0] > 0.0 and z[-1] < 1.0
 
     def test_preserves_order(self, populations):
         sample = sample_mixture(populations[0].theta, 100, rng_seed=8)
-        z = pit(sample, populations[0].theta).z
+        z = pit(sample, populations[0].theta)
         assert np.all(np.diff(z) >= 0)
 
 
-class TestTransformedSample:
-    def test_rejects_values_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            TransformedSample([0.5, 1.2])
-
-    def test_counts(self):
-        assert TransformedSample([0.1, 0.9, 0.3]).n == 3
-
-
 class TestCvmStatistic:
+    def test_rejects_values_outside_unit_interval(self):
+        for z in ([0.5, 1.2], [-0.1, 0.5], [0.5, np.nan], []):
+            with pytest.raises(DomainError):
+                cvm_statistic(z)
+
+    def test_sorts_its_input(self):
+        assert cvm_statistic([0.9, 0.1, 0.5]) == cvm_statistic([0.1, 0.5, 0.9])
+
     def test_plotting_positions_reach_lower_bound(self):
         n = 17
         z = (2 * np.arange(1, n + 1) - 1) / (2 * n)
-        assert cvm_statistic(TransformedSample(z)) == pytest.approx(1 / (12 * n), rel=1e-12)
+        assert cvm_statistic(z) == pytest.approx(1 / (12 * n), rel=1e-12)
 
     def test_single_midpoint(self):
-        assert cvm_statistic(TransformedSample([0.5])) == pytest.approx(1 / 12, rel=1e-12)
+        assert cvm_statistic([0.5]) == pytest.approx(1 / 12, rel=1e-12)
 
     def test_two_point_hand_value(self):
         expected = 0.15**2 + 0.15**2 + 1 / 24
-        assert cvm_statistic(TransformedSample([0.1, 0.9])) == pytest.approx(expected, rel=1e-12)
+        assert cvm_statistic([0.1, 0.9]) == pytest.approx(expected, rel=1e-12)
 
     def test_never_below_lower_bound(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 40))
             z = np.sort(rng.random(n))
-            assert cvm_statistic(TransformedSample(z)) >= 1 / (12 * n) - 1e-15
+            assert cvm_statistic(z) >= 1 / (12 * n) - 1e-15
 
     def test_matches_quadrature_of_integral_definition(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 21))
             z = np.sort(rng.random(n))
             direct = w2_by_quadrature(z)
-            assert cvm_statistic(TransformedSample(z)) == pytest.approx(direct, abs=1e-6)
+            assert cvm_statistic(z) == pytest.approx(direct, abs=1e-6)
 
 
 class TestAdStatistic:

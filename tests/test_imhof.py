@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from wmixgof import DomainError, WeightedChiSquare, imhof_tail, simple_hypothesis_lambdas
+from wmixgof import (
+    DomainError,
+    WeightedChiSquare,
+    eigen_spectrum,
+    imhof_tail,
+    simple_hypothesis_lambdas,
+)
+from wmixgof.kernel_eigen import brownian_bridge_q
 
 
 def monte_carlo_tail(lambdas, x, n_draws, seed):
@@ -84,6 +91,13 @@ class TestImhofTail:
 
         for x in (1.0, 3.0, 6.0, 10.0):
             assert imhof_tail(lam, x) == pytest.approx(tail(x), abs=1e-5)
+
+    def test_smallest_statistic_on_a_thousand_weights(self):
+        # W2 = 1/(12n) is the least value at n=1000; at the truncation
+        # search's start, rho(u) of these weights overflows a double
+        spectrum = eigen_spectrum(brownian_bridge_q(1000), tail_tolerance=0.0)
+        p = imhof_tail(WeightedChiSquare(spectrum.retained), 1 / 12000)
+        assert 1.0 - 1e-6 < p <= 1.0
 
     def test_rejects_bad_arguments(self):
         d = WeightedChiSquare([1.0])

@@ -6,22 +6,19 @@ import pytest
 from wmixgof import (
     DomainError,
     FitConfig,
-    KernelMatrix,
     SingularInformation,
     WeightedChiSquare,
-    brownian_bridge_q,
     build_q_matrix,
     cvm_statistic,
     eigen_spectrum,
     fit_mle,
     imhof_tail,
-    mixture_cdf,
     pit,
     sample_mixture,
     simple_hypothesis_lambdas,
 )
-from wmixgof.kernel_eigen import grid_points
-from wmixgof.mixture_model import DEFAULT_QUANTILE_EPS, cdf_gradients, invert_cdf
+from wmixgof.kernel_eigen import KernelMatrix, brownian_bridge_q, grid_points
+from wmixgof.mixture_model import _QUANTILE_EPS, cdf_gradients, invert_cdf, mixture_cdf
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
 
@@ -53,7 +50,7 @@ def _ref_cdf(x, theta):
         )
 
 
-def _ref_quantile(t, theta, eps=DEFAULT_QUANTILE_EPS, max_iter=200):
+def _ref_quantile(t, theta, eps=_QUANTILE_EPS, max_iter=200):
     """(quantile, whether the secant handed the level to bisection)."""
 
     def g(x):
@@ -283,12 +280,13 @@ class TestArrayInversionMatchesScalarLoop:
         w2 = cvm_statistic(pit(sample, theta))
         assert abs(_p_value(q.entries, w2) - _p_value(q_ref, w2)) <= 1e-12
 
-    def test_all_levels_through_bisection(self, fits_n1000):
+    def test_all_levels_through_bisection(self, fits_n1000, monkeypatch):
         # with no secant steps allowed, the secant gives up on every level
         _, fit = fits_n1000[1]
         theta = fit.theta_hat
         s = grid_points(200)
-        x, n_bisected = invert_cdf(s, theta, max_iter=0)
+        monkeypatch.setattr(mixture_model, "_MAX_SECANT_ITER", 0)
+        x, n_bisected = invert_cdf(s, theta)
         x_ref = np.array([_ref_quantile(float(t), theta, max_iter=0)[0] for t in s])
         assert n_bisected == s.size
         assert np.all(np.abs(x - x_ref) <= 1e-13 * x_ref)
@@ -302,9 +300,9 @@ class TestArrayInversionMatchesScalarLoop:
         s = grid_points(50)
         x, _ = invert_cdf(s, theta)
         for lo, hi in ((5.0 * x, 6.0 * x), (x / 6.0, x / 5.0)):
-            got = mixture_model._bisect_quantiles(s, lo, hi, theta, DEFAULT_QUANTILE_EPS)
+            got = mixture_model._bisect_quantiles(s, lo, hi, theta)
             want = [
-                _ref_bisect(lambda v, t=t: _ref_cdf(v, theta) - t, a, b, DEFAULT_QUANTILE_EPS)
+                _ref_bisect(lambda v, t=t: _ref_cdf(v, theta) - t, a, b, _QUANTILE_EPS)
                 for t, a, b in zip(s.tolist(), lo.tolist(), hi.tolist())
             ]
             assert np.all(np.abs(got - want) <= 1e-13 * x)

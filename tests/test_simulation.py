@@ -1,6 +1,6 @@
+import concurrent.futures
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,8 +14,17 @@ from wmixgof import (
     PopulationSpec,
     StudyAborted,
     TooFewObservations,
+    WeightedChiSquare,
     benchmark_populations,
+    build_q_matrix,
+    cvm_statistic,
+    eigen_spectrum,
+    fit_mle,
+    gof_test,
+    imhof_tail,
+    pit,
     run_study,
+    sample_mixture,
 )
 import wmixgof.estimation as estimation
 import wmixgof.simulation as simulation
@@ -59,6 +68,31 @@ class TestBenchmarkPopulations:
         assert (theta.beta1, theta.beta2) == (0.9, 3.0)
         assert (theta.alpha1, theta.alpha2) == (3.0, 2.0)
         assert spec.label == "population 1"
+
+
+class TestGofTest:
+    def test_outcome_matches_the_layer_calls(self, populations):
+        sample = sample_mixture(populations[4].theta, 300, rng_seed=8)
+        config = FitConfig(seed=3)
+        outcome = gof_test(sample, config, 200, 1e-4, 1e-6)
+        fit = fit_mle(sample, config)
+        q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200)
+        spectrum = eigen_spectrum(q, 1e-4)
+        w2 = cvm_statistic(pit(sample, fit.theta_hat))
+        assert outcome.fit.theta_hat == fit.theta_hat
+        assert outcome.w2 == w2
+        assert np.array_equal(outcome.spectrum.lambdas, spectrum.lambdas)
+        assert outcome.spectrum.n_retained == spectrum.n_retained
+        assert outcome.p_value == imhof_tail(WeightedChiSquare(spectrum.retained), w2, 1e-6)
+        assert outcome.n_bisection_fallbacks == q.n_bisection_fallbacks
+
+    def test_study_replication_is_one_test(self, populations):
+        spec = populations[4]
+        study = run_study(spec, 1, 60, seed=21, grid_size=50, first_rep=3)
+        s_sample, s_fit = simulation._replication_seeds(21, 3)
+        sample = sample_mixture(spec.theta, 60, s_sample)
+        outcome = gof_test(sample, FitConfig(seed=s_fit), 50, 1e-4, 1e-6)
+        assert study.p_values.tolist() == [outcome.p_value]
 
 
 class TestRunStudy:
@@ -203,13 +237,13 @@ class TestRunStudy:
             pytest.skip("numpy bundles no OpenBLAS here")
         seen = []
 
-        class Probing(ProcessPoolExecutor):
+        class Probing(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 seen.append(self.submit(blas_thread_counts).result(timeout=120))
 
         environ = dict(os.environ)
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", Probing)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probing)
         kwargs = dict(seed=21, grid_size=300)
         pooled = run_study(populations[4], 2, 60, processes=2, **kwargs)
         assert seen == [[1] * len(blas_thread_counts())]
