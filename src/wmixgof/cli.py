@@ -156,7 +156,7 @@ _POSITIVE = _FiniteRange(min=0.0, min_open=True)
 
 seed_option = click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=0,
     show_default=True,
     envvar="WMIXGOF_SEED",
@@ -218,7 +218,17 @@ def main(ctx, config_path):
     """Goodness-of-fit testing for two-component Weibull mixtures."""
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            ctx.default_map = json.load(fh)
+            try:
+                defaults = json.load(fh)
+            except ValueError as exc:
+                raise click.UsageError(f"--config {config_path}: not valid JSON: {exc}") from None
+        if not isinstance(defaults, dict) or not all(
+            isinstance(v, dict) for v in defaults.values()
+        ):
+            raise click.UsageError(
+                f"--config {config_path}: expected a JSON object mapping commands to option objects"
+            )
+        ctx.default_map = defaults
 
 
 def _read_sample(input_path: str) -> Sample:
@@ -290,12 +300,7 @@ def cmd_test(
             "retained": [float(v) for v in spectrum.retained],
         },
         "p_value": outcome.p_value,
-        # A failed inversion raises ConvergenceError (exit 4), so a written
-        # report has none by construction.
-        "diagnostics": {
-            "quantile_inversion_failures": 0,
-            "quantile_bisection_fallbacks": outcome.n_bisection_fallbacks,
-        },
+        "diagnostics": {"quantile_rounds": outcome.n_quantile_rounds},
     }
     _emit(report, output)
 

@@ -97,6 +97,8 @@ class FitConfig:
             raise DomainError("n_starts must be at least 1")
         if not 0.0 < self.tolerance < math.inf or self.max_iterations < 1:
             raise DomainError("tolerance must be positive and finite and max_iterations >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,13 +43,13 @@ class KernelMatrix:
     entries[i, j] = rho(s_i, s_j) / (m + 1) with s_i = i/(m+1). The grid
     spacing 1/(m+1) is the trapezoid weight of the interior nodes (the
     kernel vanishes on the boundary of the square, so the end corrections
-    drop out). ``n_bisection_fallbacks`` counts the grid levels whose
-    quantile inversion fell back from the secant to bisection.
+    drop out). ``n_quantile_rounds`` counts the rounds of the array solver
+    that found the fitted quantiles of the grid levels.
     """
 
     m: int
     entries: np.ndarray
-    n_bisection_fallbacks: int = 0
+    n_quantile_rounds: int = 0
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries, dtype=float)
@@ -124,7 +124,7 @@ def build_q_matrix(
     correction = np.linalg.inv(info)
 
     s = grid_points(m)
-    x, n_bisected = invert_cdf(s, theta_hat)
+    x, n_rounds = invert_cdf(s, theta_hat)
     psi = cdf_gradients(x, theta_hat)
     # (bridge - Psi C Psi') / (m + 1), built in place: at m = 1000 every
     # m-by-m temporary costs about a millisecond
@@ -134,7 +134,7 @@ def build_q_matrix(
     q /= m + 1.0
     q = np.add(q, q.T)
     q *= 0.5
-    return KernelMatrix(m=m, entries=q, n_bisection_fallbacks=n_bisected)
+    return KernelMatrix(m=m, entries=q, n_quantile_rounds=n_rounds)
 
 
 def brownian_bridge_q(m: int) -> KernelMatrix:

@@ -29,13 +29,12 @@ __all__ = [
     "sample_mixture",
 ]
 
-# Stopping width and iteration caps of quantile inversion.
-_QUANTILE_EPS = 5e-6
-_MAX_SECANT_ITER = 200
-_MAX_BISECT_ITER = 300
-# Residual threshold paired with the step-width stopping rule so the
-# returned point also satisfies |F(x) - t| well below the round-trip budget.
+# Quantile inversion stops a level once |F(x) - t| <= _RESIDUAL_TOL, well
+# inside the round-trip budget. Geometric bisection alone halves a bracket's
+# log-width each round and brings 60-decade brackets to that bound in about
+# 40 rounds, so the cap leaves room for slow Newton steps.
 _RESIDUAL_TOL = 1e-10
+_MAX_QUANTILE_ROUNDS = 100
 # Beyond exp(709) the power (x/beta)**alpha overflows a double; the survival
 # factor exp(-(x/beta)**alpha) underflows to zero much earlier, so every term
 # carrying it is exactly zero there.
@@ -131,12 +130,15 @@ def mixture_pdf(x, theta: MixtureParams):
 
     Accepts a scalar or an array; returns a float for scalar input.
     """
-    arr = _as_positive(x)
-    with np.errstate(over="ignore", under="ignore"):
-        d = theta.p * _weibull_pdf(arr, theta.alpha1, theta.beta1) + (
-            1.0 - theta.p
-        ) * _weibull_pdf(arr, theta.alpha2, theta.beta2)
+    d = _pdf(_as_positive(x), theta)
     return float(d) if np.ndim(x) == 0 else d
+
+
+def _pdf(x: np.ndarray, theta: MixtureParams) -> np.ndarray:
+    with np.errstate(over="ignore", under="ignore"):
+        return theta.p * _weibull_pdf(x, theta.alpha1, theta.beta1) + (
+            1.0 - theta.p
+        ) * _weibull_pdf(x, theta.alpha2, theta.beta2)
 
 
 def _weibull_pdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -169,102 +171,50 @@ def _weibull_cdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
 def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
     """Invert the mixture CDF at a 1-D array of levels in (0, 1) at once.
 
-    Returns the quantiles and the number of levels that needed bisection.
-    The single-component quantiles beta_i * (-log(1-t))**(1/alpha_i) start
-    a secant iteration that runs on all levels in lockstep; in practice
-    they bracket the root. A level leaves the iteration once two
-    consecutive points are within ``_QUANTILE_EPS`` and the residual is
-    negligible. Levels whose secant cycles or leaves (0, inf) are finished
-    together by a bisection on a geometrically grown bracket.
+    Returns the quantiles and the number of solver rounds. Since F is a
+    p-weighted average of the component CDFs, the component quantiles
+    beta_i * (-log(1-t))**(1/alpha_i) bracket the root at level t. Each
+    round evaluates F at every unfinished level, shrinks the bracket to the
+    side of the root and takes the Newton step when it lands strictly
+    inside the bracket, else the geometric midpoint: brackets can span
+    tens of decades when a shape is small.
     """
     t = np.asarray(levels, dtype=float)
     if t.ndim != 1 or not np.all((t > 0.0) & (t < 1.0)):
         raise DomainError("quantile levels must lie strictly inside (0, 1)")
 
     w = -np.log1p(-t)
-    x0 = theta.beta1 * w ** (1.0 / theta.alpha1)
-    x1 = theta.beta2 * w ** (1.0 / theta.alpha2)
-    x1 = np.where(x0 == x1, x0 * (1.0 + 1e-6), x1)
-
-    x = np.empty_like(t)
-    solved = np.zeros(t.size, dtype=bool)
+    q1 = theta.beta1 * w ** (1.0 / theta.alpha1)
+    q2 = theta.beta2 * w ** (1.0 / theta.alpha2)
+    lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
+    x = np.sqrt(lo) * np.sqrt(hi)
+    out = np.empty_like(t)
     idx = np.arange(t.size)
-    a, b = x0, x1
-    ga, gb = _cdf(a, theta) - t, _cdf(b, theta) - t
-    for _ in range(_MAX_SECANT_ITER):
-        if idx.size == 0:
-            break
+    for rounds in range(1, _MAX_QUANTILE_ROUNDS + 1):
+        g = _cdf(x, theta) - t[idx]
+        below = g < 0.0
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            c = (a * gb - b * ga) / (gb - ga)
-        # levels whose secant gives up drop out here and go to bisection
-        go = (gb != ga) & np.isfinite(c) & (c > 0.0)
-        idx, a, b, ga, gb, c = idx[go], a[go], b[go], ga[go], gb[go], c[go]
-        gc = _cdf(c, theta) - t[idx]
-        done = (np.abs(c - b) < _QUANTILE_EPS) & (np.abs(gc) < _RESIDUAL_TOL)
-        x[idx[done]] = c[done]
-        solved[idx[done]] = True
+            step = x - g / _pdf(x, theta)
+        # sqrt(lo) * sqrt(hi) cannot overflow where lo * hi could
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        # a bracket at floating-point resolution ends its level
+        resolved = (lo >= mid) | (mid >= hi)
+        if np.any(resolved & (np.abs(g) > 1e-8)):
+            raise ConvergenceError("quantile inversion did not converge")
+        done = resolved | (np.abs(g) <= _RESIDUAL_TOL)
+        out[idx[done]] = x[done]
         go = ~done
-        idx, a, ga, b, gb = idx[go], b[go], gb[go], c[go], gc[go]
-
-    bisect = np.flatnonzero(~solved)
-    if bisect.size:
-        x[bisect] = _bisect_quantiles(t[bisect], x0[bisect], x1[bisect], theta)
-    x.setflags(write=False)
-    return x, int(bisect.size)
-
-
-def _bisect_quantiles(
-    t: np.ndarray, x0: np.ndarray, x1: np.ndarray, theta: MixtureParams
-) -> np.ndarray:
-    """Bisection at every level at once, each with its own bracket."""
-
-    def g(x, i):
-        return _cdf(x, theta) - t[i]
-
-    lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
-    glo, ghi = _cdf(lo, theta) - t, _cdf(hi, theta) - t
-    for _ in range(_MAX_BISECT_ITER):
-        i = np.flatnonzero(glo > 0.0)
-        if i.size == 0:
-            break
-        hi[i], ghi[i] = lo[i], glo[i]
-        lo[i] *= 0.5
-        glo[i] = g(lo[i], i)
-    else:
-        raise ConvergenceError("could not bracket the quantile from below")
-    for _ in range(_MAX_BISECT_ITER):
-        i = np.flatnonzero(ghi < 0.0)
-        if i.size == 0:
-            break
-        lo[i], glo[i] = hi[i], ghi[i]
-        hi[i] *= 2.0
-        ghi[i] = g(hi[i], i)
-    else:
-        raise ConvergenceError("could not bracket the quantile from above")
-
-    mid = 0.5 * (lo + hi)
-    active = np.ones(t.size, dtype=bool)
-    solved = np.zeros(t.size, dtype=bool)
-    for _ in range(_MAX_BISECT_ITER):
-        i = np.flatnonzero(active)
-        if i.size == 0:
-            break
-        mid[i] = 0.5 * (lo[i] + hi[i])
-        # a bracket at floating-point resolution stops its level
-        inside = (lo[i] < mid[i]) & (mid[i] < hi[i])
-        active[i[~inside]] = False
-        i = i[inside]
-        gm = g(mid[i], i)
-        below = gm < 0.0
-        lo[i[below]] = mid[i[below]]
-        hi[i[~below]] = mid[i[~below]]
-        done = (hi[i] - lo[i] < _QUANTILE_EPS) & (np.abs(gm) <= _RESIDUAL_TOL)
-        active[i[done]] = False
-        solved[i[done]] = True
-    rest = np.flatnonzero(~solved)
-    if np.any(np.abs(g(mid[rest], rest)) > 1e-8):
-        raise ConvergenceError("quantile inversion did not converge")
-    return mid
+        if not np.any(go):
+            out.setflags(write=False)
+            return out, rounds
+        idx, lo, hi = idx[go], lo[go], hi[go]
+        step, mid = step[go], mid[go]
+        x = np.where((lo < step) & (step < hi), step, mid)
+    raise ConvergenceError(
+        f"quantile inversion did not converge in {_MAX_QUANTILE_ROUNDS} rounds"
+    )
 
 
 def cdf_gradients(x, theta: MixtureParams) -> np.ndarray:

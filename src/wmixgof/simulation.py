@@ -106,15 +106,15 @@ def _one_blas_thread() -> None:
 class GofOutcome:
     """What one goodness-of-fit test produced, from the fit to the p-value.
 
-    ``n_bisection_fallbacks`` counts the kernel grid levels whose quantile
-    inversion fell back from the secant to bisection.
+    ``n_quantile_rounds`` counts the rounds of the solver that found the
+    fitted quantiles of the kernel grid.
     """
 
     fit: FitResult
     w2: float
     spectrum: EigenSpectrum
     p_value: float
-    n_bisection_fallbacks: int
+    n_quantile_rounds: int
 
 
 def gof_test(
@@ -135,7 +135,7 @@ def gof_test(
     q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
     spectrum = eigen_spectrum(q, tail_tolerance)
     p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2, imhof_tolerance)
-    return GofOutcome(fit, w2, spectrum, p_value, q.n_bisection_fallbacks)
+    return GofOutcome(fit, w2, spectrum, p_value, q.n_quantile_rounds)
 
 
 def _study_window(
@@ -218,6 +218,8 @@ def run_study(
         raise DomainError("n_reps must be at least 1")
     if sample_size < 20:
         raise DomainError("sample_size must be at least 20")
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
     if first_rep < 0:
         raise DomainError("first_rep must be nonnegative")
     if processes < 1:

@@ -80,3 +80,27 @@ def test_benchmark_scripts_find_every_name_they_use():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_traced_benchmark_chain_reproduces_the_untraced_op(monkeypatch):
+    # perfbench fails an op whose traced chain gives another p-value than
+    # the untraced op; this is the one place the suite runs that chain.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from spans import Tracer
+    from workloads import OpRecord, StudyN100, TestN1000M1000
+
+    study = StudyN100()
+    for j in range(5):
+        traced, untraced = study.traced(j, Tracer()), study.run(j)
+        assert traced.status == untraced.status == "ok"
+        assert traced.p_value == untraced.p_value
+
+    cli_workload = TestN1000M1000()
+    s_sample, s_cmd = cli_workload.input_seeds(0)
+    theta = cli_workload.populations[0].theta
+    sample = wmixgof.sample_mixture(theta, cli_workload.sample_size, s_sample)
+    config = wmixgof.FitConfig(seed=s_cmd)
+    rec = OpRecord(0)
+    cli_workload.fitted_chain(rec, sample, config, Tracer())
+    outcome = wmixgof.gof_test(sample, config, cli_workload.grid_size, 1e-4, 1e-6)
+    assert rec.p_value == outcome.p_value

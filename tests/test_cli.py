@@ -114,26 +114,22 @@ class TestCmdTest:
         report = json.loads(out.read_text())
         assert report["command"] == "test"
 
-    def test_reports_bisection_fallbacks(self, runner, pop5_file):
+    def test_reports_quantile_rounds(self, runner, pop5_file):
         result = runner.invoke(main, ["test", "-i", pop5_file, "--seed", "3", "-m", "200"])
         assert result.exit_code == 0
         diagnostics = json.loads(result.output)["diagnostics"]
         sample = Sample(read_observations(pop5_file))
         fit = fit_mle(sample, FitConfig(seed=3))
         q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200)
-        assert q.n_bisection_fallbacks > 0
-        assert diagnostics == {
-            "quantile_inversion_failures": 0,
-            "quantile_bisection_fallbacks": q.n_bisection_fallbacks,
-        }
+        assert 1 < q.n_quantile_rounds <= mixture_model._MAX_QUANTILE_ROUNDS
+        assert diagnostics == {"quantile_rounds": q.n_quantile_rounds}
 
     def test_quantile_inversion_failure_exits_4(self, runner, pop5_file, monkeypatch):
-        # the secant never meets its residual test and bisection cannot bracket
-        monkeypatch.setattr(mixture_model, "_RESIDUAL_TOL", 0.0)
-        monkeypatch.setattr(mixture_model, "_MAX_BISECT_ITER", 0)
+        # one round cannot bring every grid level within the residual bound
+        monkeypatch.setattr(mixture_model, "_MAX_QUANTILE_ROUNDS", 1)
         result = runner.invoke(main, ["test", "-i", pop5_file, "--seed", "3", "-m", "50"])
         assert result.exit_code == 4
-        assert "error: kernel: could not bracket the quantile" in result.output
+        assert "error: kernel: quantile inversion did not converge in 1 rounds" in result.output
 
     def test_evenly_spaced_quantiles_at_m_1000(self, runner, tmp_path):
         # the sample sits on the fitted quantiles, so W2 is near its least
@@ -291,6 +287,8 @@ class TestExitCodes:
             ["test", "--imhof-tolerance", "nan"],
             ["simulate", "--population", "1", "--n-starts", "0"],
             ["eigen-check", "-m", "1"],
+            ["fit", "--seed", "-1"],
+            ["simulate", "--population", "1", "--seed", "-1"],
         ],
         ids=" ".join,
     )
@@ -344,3 +342,21 @@ class TestConfigPlumbing:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["config"]["seed"] == 17
+
+    def test_negative_seed_env_var_exits_2(self, runner, pop5_file):
+        result = runner.invoke(
+            main, ["test", "-i", pop5_file, "-m", "50"], env={"WMIXGOF_SEED": "-3"}
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", '[{"eigen-check": {}}]', '{"eigen-check": 50}'],
+        ids=["invalid-json", "list", "non-object-value"],
+    )
+    def test_malformed_config_file_exits_2(self, runner, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        result = runner.invoke(main, ["--config", str(cfg), "eigen-check", "-m", "10"])
+        assert result.exit_code == 2
+        assert f"Error: --config {cfg}: " in result.output

@@ -172,6 +172,8 @@ class TestFitMle:
             FitConfig(tolerance=0.0)
         with pytest.raises(DomainError):
             FitConfig(tolerance=math.nan)
+        with pytest.raises(DomainError):
+            FitConfig(seed=-1)
 
 
 class TestHessian:
