@@ -16,6 +16,7 @@ from .errors import (
     DomainError,
     EigenSolverFailure,
     NonFiniteHessian,
+    NonFiniteKernel,
     QuadratureFailure,
     SingularInformation,
     StudyAborted,
@@ -48,6 +49,7 @@ __all__ = [
     "GofOutcome",
     "MixtureParams",
     "NonFiniteHessian",
+    "NonFiniteKernel",
     "PopulationSpec",
     "QuadratureFailure",
     "Sample",

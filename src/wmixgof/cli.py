@@ -102,6 +102,7 @@ def _fit_section(fit: FitResult) -> dict:
         "n_starts_used": fit.n_starts_used,
         "n_boundary_starts": fit.n_boundary_starts,
         "boundary_proximity": fit.boundary_proximity,
+        "spike": fit.spike,
         "local_optima_log_likelihoods": list(fit.best_of_likelihoods),
         "n_rounds": fit.n_rounds,
         "n_evaluations": fit.n_evaluations,
@@ -379,6 +380,7 @@ def cmd_simulate(
         "sample_size": result.sample_size,
         "grid_size": result.grid_size,
         "n_failed_fits": result.n_failed_fits,
+        "n_spike_fits": result.n_spike_fits,
         "ad_statistic": result.ad_statistic,
         "ad_p_value": result.ad_p_value,
         "rejection_rate_5pct": float(np.mean(result.p_values < 0.05)),

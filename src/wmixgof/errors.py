@@ -42,6 +42,12 @@ class NonFiniteHessian(WmixgofError):
     stage = "fit"
 
 
+class NonFiniteKernel(WmixgofError):
+    """A computed kernel entry is not a finite number."""
+
+    stage = "kernel"
+
+
 class DegenerateInput(WmixgofError, ValueError):
     """Input contains values at which a statistic is undefined."""
 

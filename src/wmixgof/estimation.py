@@ -63,6 +63,9 @@ expit, gammaln, logit = _special.expit, _special.gammaln, _special.logit
 _P_ADMISSIBLE = (0.001, 0.999)
 # Looser band that merely flags a near-degenerate mixture in diagnostics.
 _P_FLAG = (0.05, 0.95)
+# A fitted shape above this flags a spike: a component squeezed onto a few
+# nearly equal observations.
+_SPIKE_SHAPE = 20.0
 # Box for log shapes/scales and the logit proportion during optimization;
 # wide enough for any plausible data scale, narrow enough to stop walks
 # along flat likelihood ridges.
@@ -124,6 +127,11 @@ class FitResult:
     boundary_proximity: bool = False
     n_rounds: int = 0
     n_evaluations: int = 0
+
+    @property
+    def spike(self) -> bool:
+        """Whether a fitted shape exceeds 20; it explains a result, never filters one."""
+        return max(self.theta_hat.alpha1, self.theta_hat.alpha2) > _SPIKE_SHAPE
 
 
 def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigenSolverFailure, SingularInformation
+from .errors import DomainError, EigenSolverFailure, NonFiniteKernel, SingularInformation
 from .mixture_model import MixtureParams, cdf_gradients, invert_cdf
 
 __all__ = [
@@ -34,6 +34,10 @@ __all__ = [
     "eigen_spectrum",
     "simple_hypothesis_lambdas",
 ]
+
+# Rows of the bridge term filled per step: its temporaries stay at
+# _BRIDGE_ROWS-by-m instead of m-by-m.
+_BRIDGE_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +61,10 @@ class KernelMatrix:
             raise DomainError("grid size m must be at least 2")
         if e.shape != (self.m, self.m):
             raise DomainError("entries must be an m-by-m matrix")
-        if not np.all(np.isfinite(e)):
-            raise DomainError("kernel entries must be finite")
-        if float(np.max(np.abs(e - e.T))) > 1e-10:
+        # both checks make m-by-m bool temporaries only, no float ones
+        if not np.isfinite(e).all():
+            raise NonFiniteKernel("kernel entries must be finite")
+        if not np.array_equal(e, e.T):
             raise DomainError("kernel matrix must be symmetric")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -100,8 +105,10 @@ def build_q_matrix(
 
     The per-observation information is estimated by -H/n and must be
     positive definite (otherwise the fit was not a regular interior
-    optimum and SingularInformation is raised). The correction bilinear
-    form is its inverse (-H/n)^{-1}.
+    optimum and SingularInformation is raised). With its Cholesky factor
+    L L' = -H/n, the correction Psi (-H/n)^{-1} Psi' is the Gram product
+    R'R of R = L^{-1} Psi', so the m-by-m kernel is one buffer that is
+    symmetric bit for bit. A non-finite entry raises NonFiniteKernel.
 
     Psi is the CDF gradient at the fitted quantiles of all m grid levels,
     found by one array inversion of the fitted CDF.
@@ -116,33 +123,45 @@ def build_q_matrix(
     info = -hessian / float(n)
     info = 0.5 * (info + info.T)
     try:
-        np.linalg.cholesky(info)
+        chol = np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
         raise SingularInformation(
             "-H/n is not positive definite; the fit is not a regular interior optimum"
         ) from None
-    correction = np.linalg.inv(info)
 
     s = grid_points(m)
     x, n_rounds = invert_cdf(s, theta_hat)
-    psi = cdf_gradients(x, theta_hat)
-    # (bridge - Psi C Psi') / (m + 1), built in place: at m = 1000 every
-    # m-by-m temporary costs about a millisecond
-    q = np.minimum.outer(s, s)
-    q -= np.outer(s, s)
-    q -= psi @ correction @ psi.T
-    q /= m + 1.0
-    q = np.add(q, q.T)
-    q *= 0.5
+    r = np.linalg.solve(chol, cdf_gradients(x, theta_hat).T)
+    r /= math.sqrt(m + 1.0)
+    # (bridge - Psi C Psi') / (m + 1): R'R is numpy's symmetric rank-k
+    # product, then negated and topped up with the bridge in place
+    q = r.T @ r
+    np.negative(q, out=q)
+    _add_bridge(q, s)
     return KernelMatrix(m=m, entries=q, n_quantile_rounds=n_rounds)
+
+
+def _add_bridge(q: np.ndarray, s: np.ndarray) -> None:
+    """Add (min(s_i, s_j) - s_i * s_j) / (m + 1) to q, a block of rows at a time.
+
+    Each entry comes from a commutative min and product, so the term is
+    symmetric bit for bit.
+    """
+    m = s.size
+    for i in range(0, m, _BRIDGE_ROWS):
+        rows = s[i : i + _BRIDGE_ROWS]
+        block = np.minimum.outer(rows, s)
+        block -= np.outer(rows, s)
+        block /= m + 1.0
+        q[i : i + _BRIDGE_ROWS] += block
 
 
 def brownian_bridge_q(m: int) -> KernelMatrix:
     """Discretized Brownian bridge kernel (the fully specified case)."""
     if m < 2:
         raise DomainError("grid size m must be at least 2")
-    s = grid_points(m)
-    q = (np.minimum.outer(s, s) - np.outer(s, s)) / (m + 1.0)
+    q = np.zeros((m, m))
+    _add_bridge(q, grid_points(m))
     return KernelMatrix(m=m, entries=q)
 
 

@@ -35,10 +35,6 @@ __all__ = [
 # 40 rounds, so the cap leaves room for slow Newton steps.
 _RESIDUAL_TOL = 1e-10
 _MAX_QUANTILE_ROUNDS = 100
-# Beyond exp(709) the power (x/beta)**alpha overflows a double; the survival
-# factor exp(-(x/beta)**alpha) underflows to zero much earlier, so every term
-# carrying it is exactly zero there.
-_EXP_OVERFLOW = 709.0
 
 
 @dataclass(frozen=True)
@@ -237,17 +233,22 @@ def cdf_gradients(x, theta: MixtureParams) -> np.ndarray:
 
 
 def _component_partials(x: np.ndarray, alpha: float, beta: float):
-    """(dF/dalpha, dF/dbeta, survival) for one Weibull component, weight 1."""
-    logx = np.log(x / beta)
-    t = alpha * logx
-    # past the overflow point every term carries exp(-u) == 0
-    inside = t <= _EXP_OVERFLOW
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(np.where(inside, t, 0.0))
+    """(dF/dalpha, dF/dbeta, survival) for one Weibull component, weight 1.
+
+    Both partials carry u * exp(-u) <= 1/e, formed first: scaling u by
+    log(x/beta) or alpha/beta before exp(-u) overflows for spiky shapes.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logx = np.log(x / beta)
+        u = np.exp(alpha * logx)
         su = np.exp(-u)
-        da = u * logx * su
-        db = -(alpha / beta) * u * su
-    return np.where(inside, da, 0.0), np.where(inside, db, 0.0), np.where(inside, su, 0.0)
+        usu = u * su
+        # usu is 0, or nan where u overflows, wherever u or exp(-u) is 0;
+        # both partials vanish there
+        kept = usu > 0.0
+        da = np.where(kept, usu * logx, 0.0)
+        db = np.where(kept, -(alpha / beta) * usu, 0.0)
+    return da, db, su
 
 
 def sample_mixture(theta: MixtureParams, n: int, rng_seed: int) -> Sample:

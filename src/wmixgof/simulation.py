@@ -52,8 +52,10 @@ class StudyResult:
 
     ``p_values`` holds one entry per successful replication, sorted
     ascending; replications whose fit or kernel stage failed are only
-    counted. The Anderson-Darling fields are None when fewer than two
-    p-values are available.
+    counted. ``n_spike_fits`` counts the successful replications whose fit
+    is a spike (``FitResult.spike``); their p-values stay in. The
+    Anderson-Darling fields are None when fewer than two p-values are
+    available.
     """
 
     population: PopulationSpec
@@ -64,6 +66,7 @@ class StudyResult:
     estimate_parameters: bool
     p_values: np.ndarray
     n_failed_fits: int
+    n_spike_fits: int
     ad_statistic: float | None
     ad_p_value: float | None
 
@@ -149,8 +152,8 @@ def _study_window(
     estimate_parameters: bool,
     first: int,
     count: int,
-) -> tuple[list[float], int]:
-    """P-values and failure count of replications [first, first + count).
+) -> tuple[list[float], int, int]:
+    """P-values, failure count and spike-fit count of replications [first, first + count).
 
     A replication fails when its fit or kernel stage raises; any other
     error propagates.
@@ -159,7 +162,7 @@ def _study_window(
     if not estimate_parameters:
         known_lambdas = WeightedChiSquare(simple_hypothesis_lambdas(_N_SIMPLE_LAMBDAS))
     p_values = []
-    n_failed = 0
+    n_failed = n_spike = 0
     for rep in range(first, first + count):
         s_sample, s_fit = _replication_seeds(seed, rep)
         sample = sample_mixture(population.theta, sample_size, s_sample)
@@ -168,6 +171,7 @@ def _study_window(
                 config = replace(fit_config, seed=s_fit)
                 outcome = gof_test(sample, config, grid_size, tail_tolerance, imhof_tolerance)
                 p_values.append(outcome.p_value)
+                n_spike += outcome.fit.spike
             else:
                 w2 = cvm_statistic(pit(sample, population.theta))
                 p_values.append(imhof_tail(known_lambdas, w2, imhof_tolerance))
@@ -175,7 +179,7 @@ def _study_window(
             if exc.stage is None:
                 raise
             n_failed += 1
-    return p_values, n_failed
+    return p_values, n_failed, n_spike
 
 
 def run_study(
@@ -249,13 +253,13 @@ def run_study(
             max_workers=len(firsts), mp_context=context, initializer=_one_blas_thread
         ) as pool:
             parts = list(pool.map(window, firsts, counts))
-    n_failed = sum(f for _, f in parts)
+    n_failed = sum(f for _, f, _ in parts)
     if n_failed > 0.2 * n_reps:
         raise StudyAborted(
             f"{n_failed} of {n_reps} replications failed; configuration looks broken"
         )
 
-    p_arr = np.sort(np.asarray([p for ps, _ in parts for p in ps], dtype=float))
+    p_arr = np.sort(np.asarray([p for ps, _, _ in parts for p in ps], dtype=float))
     ad_stat = ad_pval = None
     if p_arr.size >= 2:
         clipped = np.clip(p_arr, _P_CLIP, 1.0 - _P_CLIP)
@@ -274,6 +278,7 @@ def run_study(
         estimate_parameters=estimate_parameters,
         p_values=p_arr,
         n_failed_fits=n_failed,
+        n_spike_fits=sum(k for _, _, k in parts),
         ad_statistic=ad_stat,
         ad_p_value=ad_pval,
     )

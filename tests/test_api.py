@@ -22,6 +22,7 @@ def test_public_names_are_pinned():
         "GofOutcome",
         "MixtureParams",
         "NonFiniteHessian",
+        "NonFiniteKernel",
         "PopulationSpec",
         "QuadratureFailure",
         "Sample",

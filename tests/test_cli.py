@@ -15,8 +15,10 @@ from wmixgof import (
 )
 from wmixgof.cli import main, read_observations, DataFileError
 import wmixgof.estimation as estimation
+import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
 from wmixgof.mixture_model import invert_cdf
+from wmixgof.simulation import _replication_seeds
 
 
 @pytest.fixture
@@ -142,6 +144,22 @@ class TestCmdTest:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["p_value"] > 0.999
 
+    def test_spike_fit_gives_a_p_value(self, runner, tmp_path):
+        # Replication 187 of population 2 at n=300, seed 0, fits a spike
+        # (alpha1 = 1700.75) that does not converge; its kernel used to be
+        # all nan and the command exited 1 with a traceback.
+        s_sample, s_fit = _replication_seeds(0, 187)
+        sample = sample_mixture(benchmark_populations()[1].theta, 300, s_sample)
+        path = tmp_path / "spike.txt"
+        path.write_text("\n".join(repr(float(v)) for v in sample.values) + "\n")
+        result = runner.invoke(main, ["test", "-i", str(path), "--seed", str(s_fit), "-m", "200"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["fit"]["alpha1"] == pytest.approx(1700.75, abs=0.01)
+        assert report["fit"]["spike"] is True
+        assert report["fit"]["converged"] is False
+        assert report["p_value"] == pytest.approx(0.358, abs=1e-3)
+
     def test_lognormal_misfit_rejected_in_clear_majority(self, runner, tmp_path):
         rejections = 0
         for s in range(5):
@@ -167,6 +185,7 @@ class TestCmdFit:
         assert fit["beta1"] <= fit["beta2"]
         assert 0.0 <= fit["p"] <= 1.0
         assert fit["log_likelihood"] > -10000
+        assert fit["spike"] is False
 
 
 class TestCmdSimulate:
@@ -206,6 +225,7 @@ class TestCmdSimulate:
             0.5,
         )
         assert len(report["p_values"]) + report["n_failed_fits"] == 2
+        assert report["n_spike_fits"] == 0
 
     def test_report_round_trips(self, runner, tmp_path):
         out = tmp_path / "study.json"
@@ -273,6 +293,14 @@ class TestExitCodes:
         result = runner.invoke(main, args + ["-i", pop5_file])
         assert result.exit_code == 3
         assert "error: fit: forced" in result.output
+
+    def test_non_finite_kernel_exits_4(self, runner, pop5_file, monkeypatch):
+        monkeypatch.setattr(
+            kernel_eigen, "cdf_gradients", lambda x, theta: np.full((x.size, 5), np.nan)
+        )
+        result = runner.invoke(main, ["test", "-i", pop5_file, "-m", "50"])
+        assert result.exit_code == 4
+        assert "error: kernel: kernel entries must be finite" in result.output
 
     @pytest.mark.parametrize(
         "args",

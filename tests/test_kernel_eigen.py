@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wmixgof import (
     DomainError,
     FitConfig,
     MixtureParams,
+    NonFiniteKernel,
     SingularInformation,
     WeightedChiSquare,
     build_q_matrix,
@@ -257,6 +259,19 @@ class TestBuildQMatrix:
         with pytest.raises(DomainError):
             build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1)
 
+    def test_peak_memory_is_one_matrix_at_m_1000(self, fits_n1000):
+        # The Gram form holds one m-by-m float64 array (8 MB) plus
+        # temporaries of at most a block of rows; forming (-H/n)^{-1}
+        # densely and symmetrizing with q + q' peaked at 24.1 MB.
+        sample, fit = fits_n1000[0]
+        tracemalloc.start()
+        try:
+            build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8e6
+
 
 @pytest.fixture(scope="module")
 def fits_n1000(populations):
@@ -382,3 +397,8 @@ class TestKernelMatrixType:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
             KernelMatrix(m=3, entries=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteKernel):
+            KernelMatrix(m=2, entries=np.array([[1.0, bad], [bad, 1.0]]))

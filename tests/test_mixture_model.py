@@ -222,6 +222,31 @@ class TestCdfGradient:
         for x in (1e-6, 1e3):
             assert np.all(np.isfinite(cdf_gradients(x, theta)))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        log_shapes=st.tuples(*[st.floats(math.log(0.2), math.log(2000.0))] * 2),
+        log_scales=st.tuples(*[st.floats(-6.0, 6.0)] * 2),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        drawn=st.lists(st.floats(min_value=5e-324, max_value=np.finfo(float).max), max_size=20),
+    )
+    def test_finite_for_spiky_shapes(self, log_shapes, log_scales, p, drawn):
+        # Besides the drawn points, each component's power
+        # u = (x/beta)**alpha runs through exp(-750) .. exp(750), where u
+        # times alpha/beta or log(x/beta) used to overflow before exp(-u)
+        # brought it down: a shape of 1700 made a fitted kernel all nan.
+        theta = MixtureParams(*np.exp(log_shapes), *np.exp(log_scales), p)
+        t = np.linspace(-750.0, 750.0, 6001)
+        with np.errstate(over="ignore", under="ignore"):
+            x = np.concatenate(
+                [
+                    theta.beta1 * np.exp(t / theta.alpha1),
+                    theta.beta2 * np.exp(t / theta.alpha2),
+                    drawn,
+                ]
+            )
+        x = x[np.isfinite(x) & (x > 0.0)]
+        assert np.all(np.isfinite(cdf_gradients(x, theta)))
+
 
 class TestSampleMixture:
     def test_deterministic_for_fixed_seed(self, populations):

@@ -27,6 +27,7 @@ from wmixgof import (
     sample_mixture,
 )
 import wmixgof.estimation as estimation
+import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.simulation as simulation
 
 
@@ -38,8 +39,9 @@ def blas_thread_counts():
 
 def assert_same_study(a, b):
     assert np.array_equal(a.p_values, b.p_values)
-    assert (a.n_failed_fits, a.ad_statistic, a.ad_p_value) == (
+    assert (a.n_failed_fits, a.n_spike_fits, a.ad_statistic, a.ad_p_value) == (
         b.n_failed_fits,
+        b.n_spike_fits,
         b.ad_statistic,
         b.ad_p_value,
     )
@@ -214,6 +216,27 @@ class TestRunStudy:
         assert res.n_failed_fits == 1
         assert res.p_values.size == 4
 
+    def test_non_finite_kernel_counts_as_a_failure(self, populations, monkeypatch):
+        real_gradients = kernel_eigen.cdf_gradients
+        calls = {"n": 0}
+
+        def nan_once(x, theta):
+            calls["n"] += 1
+            grad = real_gradients(x, theta)
+            return np.full_like(grad, np.nan) if calls["n"] == 1 else grad
+
+        monkeypatch.setattr(kernel_eigen, "cdf_gradients", nan_once)
+        res = run_study(populations[4], 5, 60, seed=21, grid_size=50)
+        assert res.n_failed_fits == 1
+        assert res.p_values.size == 4
+
+    def test_spike_fit_is_counted_not_dropped(self, populations):
+        # replication 187 fits alpha1 = 1700.75 and used to abort the study
+        res = run_study(populations[1], 1, 300, 0, first_rep=187)
+        assert res.p_values.size == 1
+        assert (res.n_failed_fits, res.n_spike_fits) == (0, 1)
+        assert res.p_values[0] == pytest.approx(0.358, abs=1e-3)
+
     def test_unstaged_errors_propagate(self, populations, monkeypatch):
         def broken(sample, config):
             raise DomainError("not a replication failure")
@@ -227,11 +250,13 @@ class TestRunStudy:
         # four-coordinate gradient overflows; the fit must stay silent and
         # give the same p-value every time. The secant-plus-bisection
         # quantile solver gave 0.7197759499073867; the bracketed Newton
-        # solver stops on the residual alone and moves it by 8.0e-12.
+        # solver stops on the residual alone and moves it by 8.0e-12. The
+        # Gram-form kernel, from the Cholesky factor of -H/n instead of its
+        # inverse, moves it by another 2.7e-15.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
-        assert res.p_values.tolist() == [0.7197759498993868]
+        assert res.p_values.tolist() == [0.7197759498993895]
 
     def test_workers_run_blas_on_one_thread(self, populations, monkeypatch):
         numpy_blas = estimation._scipy_openblas_threads("numpy")
