@@ -381,6 +381,7 @@ def cmd_simulate(
         "grid_size": result.grid_size,
         "n_failed_fits": result.n_failed_fits,
         "n_spike_fits": result.n_spike_fits,
+        "max_quantile_rounds": result.max_quantile_rounds,
         "ad_statistic": result.ad_statistic,
         "ad_p_value": result.ad_p_value,
         "rejection_rate_5pct": float(np.mean(result.p_values < 0.05)),

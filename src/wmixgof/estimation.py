@@ -369,11 +369,12 @@ def _one_scipy_blas_thread():
 
 
 @cache
-def _scipy_openblas_threads(package: str = "scipy"):
-    """(get, set) thread-count functions of the OpenBLAS bundled with ``package``, or None.
+def _bundled_openblas(package: str):
+    """The scipy-openblas library bundled with ``package`` (ctypes.CDLL), or None.
 
     numpy and scipy wheels each bundle their own scipy-openblas build in
-    ``<package>.libs``; numpy's exports its functions with a ``64_`` suffix.
+    ``<package>.libs``; numpy's is the 64-bit-integer build, whose functions
+    carry a ``64_`` suffix.
     """
     import ctypes
     import importlib
@@ -387,7 +388,17 @@ def _scipy_openblas_threads(package: str = "scipy"):
         return None
     if len(names) != 1:
         return None
-    lib = ctypes.CDLL(os.path.join(libs, names[0]))
+    return ctypes.CDLL(os.path.join(libs, names[0]))
+
+
+@cache
+def _scipy_openblas_threads(package: str = "scipy"):
+    """(get, set) thread-count functions of the OpenBLAS bundled with ``package``, or None."""
+    import ctypes
+
+    lib = _bundled_openblas(package)
+    if lib is None:
+        return None
     for suffix in ("", "64_"):
         get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
         set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)

@@ -17,12 +17,15 @@ eigenproblem.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError, EigenSolverFailure, NonFiniteKernel, SingularInformation
+from .estimation import _bundled_openblas
 from .mixture_model import MixtureParams, cdf_gradients, invert_cdf
 
 __all__ = [
@@ -38,36 +41,56 @@ __all__ = [
 # Rows of the bridge term filled per step: its temporaries stay at
 # _BRIDGE_ROWS-by-m instead of m-by-m.
 _BRIDGE_ROWS = 64
+# LAPACKE's column-major layout: the kernel matrix is symmetric bit for bit,
+# so its C-ordered buffer is already that layout and is not transposed.
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Kernel values on the interior grid, scaled by the quadrature weight.
+    """Kernel on the interior grid, scaled by the quadrature weight, as its factor.
 
-    entries[i, j] = rho(s_i, s_j) / (m + 1) with s_i = i/(m+1). The grid
-    spacing 1/(m+1) is the trapezoid weight of the interior nodes (the
-    kernel vanishes on the boundary of the square, so the end corrections
-    drop out). ``n_quantile_rounds`` counts the rounds of the array solver
-    that found the fitted quantiles of the grid levels.
+    The matrix is entries[i, j] = rho(s_i, s_j) / (m + 1) with s_i = i/(m+1):
+    the bridge term (min(s_i, s_j) - s_i s_j) / (m + 1) minus R'R, where
+    ``factor`` R has m columns (5 rows for the fitted kernel, none for the
+    Brownian bridge). The grid spacing 1/(m+1) is the trapezoid weight of
+    the interior nodes (the kernel vanishes on the boundary of the square,
+    so the end corrections drop out). ``n_quantile_rounds`` counts the
+    rounds of the array solver that found the fitted quantiles of the grid
+    levels.
     """
 
     m: int
-    entries: np.ndarray
+    factor: np.ndarray
     n_quantile_rounds: int = 0
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
+        r = np.asarray(self.factor, dtype=float)
         if self.m < 2:
             raise DomainError("grid size m must be at least 2")
-        if e.shape != (self.m, self.m):
-            raise DomainError("entries must be an m-by-m matrix")
-        # both checks make m-by-m bool temporaries only, no float ones
-        if not np.isfinite(e).all():
+        if r.ndim != 2 or r.shape[1] != self.m:
+            raise DomainError("factor must be a matrix with m columns")
+        # |(R'R)_ij| is at most the larger of the diagonal entries (R'R)_ii,
+        # the squared column norms, so finite ones keep the matrix finite
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(r).all() and np.isfinite(np.einsum("ij,ij->j", r, r)).all()
+        if not finite:
             raise NonFiniteKernel("kernel entries must be finite")
-        if not np.array_equal(e, e.T):
-            raise DomainError("kernel matrix must be symmetric")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        r.setflags(write=False)
+        object.__setattr__(self, "factor", r)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The m-by-m kernel matrix, newly allocated (8 m^2 bytes) on every access.
+
+        R'R is numpy's symmetric rank-k product, then negated and topped up
+        with the bridge in place, so the matrix is symmetric bit for bit.
+        """
+        r = self.factor
+        q = r.T @ r
+        np.negative(q, out=q)
+        _add_bridge(q, grid_points(self.m))
+        return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +124,14 @@ def build_q_matrix(
     n: int,
     m: int,
 ) -> KernelMatrix:
-    """Discretize the estimated kernel on the interior grid.
+    """Discretize the estimated kernel on the interior grid, as its factor.
 
     The per-observation information is estimated by -H/n and must be
     positive definite (otherwise the fit was not a regular interior
     optimum and SingularInformation is raised). With its Cholesky factor
     L L' = -H/n, the correction Psi (-H/n)^{-1} Psi' is the Gram product
-    R'R of R = L^{-1} Psi', so the m-by-m kernel is one buffer that is
-    symmetric bit for bit. A non-finite entry raises NonFiniteKernel.
+    R'R of R = L^{-1} Psi', and the kernel keeps R (5 x m) alone; no m-by-m
+    array is allocated. A non-finite R raises NonFiniteKernel.
 
     Psi is the CDF gradient at the fitted quantiles of all m grid levels,
     found by one array inversion of the fitted CDF.
@@ -129,16 +152,10 @@ def build_q_matrix(
             "-H/n is not positive definite; the fit is not a regular interior optimum"
         ) from None
 
-    s = grid_points(m)
-    x, n_rounds = invert_cdf(s, theta_hat)
+    x, n_rounds = invert_cdf(grid_points(m), theta_hat)
     r = np.linalg.solve(chol, cdf_gradients(x, theta_hat).T)
     r /= math.sqrt(m + 1.0)
-    # (bridge - Psi C Psi') / (m + 1): R'R is numpy's symmetric rank-k
-    # product, then negated and topped up with the bridge in place
-    q = r.T @ r
-    np.negative(q, out=q)
-    _add_bridge(q, s)
-    return KernelMatrix(m=m, entries=q, n_quantile_rounds=n_rounds)
+    return KernelMatrix(m=m, factor=r, n_quantile_rounds=n_rounds)
 
 
 def _add_bridge(q: np.ndarray, s: np.ndarray) -> None:
@@ -160,24 +177,67 @@ def brownian_bridge_q(m: int) -> KernelMatrix:
     """Discretized Brownian bridge kernel (the fully specified case)."""
     if m < 2:
         raise DomainError("grid size m must be at least 2")
-    q = np.zeros((m, m))
-    _add_bridge(q, grid_points(m))
-    return KernelMatrix(m=m, entries=q)
+    return KernelMatrix(m=m, factor=np.zeros((0, m)))
+
+
+@cache
+def _dsyevd():
+    """LAPACKE_dsyevd of the OpenBLAS bundled with numpy, or None where it has none.
+
+    It is the routine ``np.linalg.eigvalsh`` calls, in the same library, so
+    it gives the same eigenvalues bit for bit; called directly it works in
+    place on a buffer the caller owns instead of on a copy.
+    """
+    solver = getattr(_bundled_openblas("numpy"), "scipy_LAPACKE_dsyevd64_", None)
+    if solver is None:
+        return None
+    # int matrix_layout, char jobz, char uplo, int64 n, double *a, int64 lda,
+    # double *w -> int64 info
+    solver.argtypes = [
+        ctypes.c_int,
+        ctypes.c_char,
+        ctypes.c_char,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+    ]
+    solver.restype = ctypes.c_int64
+    return solver
 
 
 def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectrum:
     """All eigenvalues of the kernel matrix plus the retained head.
 
-    Positive eigenvalues are kept until their cumulative sum reaches a
-    (1 - tail_tolerance) share of the total positive mass; the discarded
-    tail contributes at most that share to the limiting distribution.
+    The m-by-m matrix is built once, and the eigensolver (LAPACK's dsyevd,
+    eigenvalues only) overwrites it in place. Positive eigenvalues are kept
+    until their cumulative sum reaches a (1 - tail_tolerance) share of the
+    total positive mass; the discarded tail contributes at most that share
+    to the limiting distribution.
     """
     if not 0.0 <= tail_tolerance < 1.0:
         raise DomainError("tail_tolerance must lie in [0, 1)")
-    try:
-        lam = np.linalg.eigvalsh(q.entries)[::-1].copy()
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
+    # the solver overwrites a; it must be a C-ordered float64 buffer of its own
+    a = np.require(q.entries, dtype=np.float64, requirements=["C", "W", "O"])
+    solver = _dsyevd()
+    if solver is None:
+        try:
+            lam = np.linalg.eigvalsh(a)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
+    else:
+        lam = np.empty(q.m)
+        info = solver(_LAPACK_COL_MAJOR, b"N", b"L", q.m, a.ctypes.data, q.m, lam.ctypes.data)
+        if info != 0:
+            raise EigenSolverFailure(f"eigendecomposition failed: dsyevd info {info}")
+    return _spectrum(lam, tail_tolerance)
+
+
+def _spectrum(lam: np.ndarray, tail_tolerance: float) -> EigenSpectrum:
+    """Sort the eigenvalues descending, count the negative ones and pick the retained head."""
+    if not np.isfinite(lam).all():
+        raise NonFiniteKernel("kernel eigenvalues must be finite")
+    lam = np.sort(lam)[::-1].copy()
     positive = lam[lam > 0.0]
     if positive.size == 0:
         raise EigenSolverFailure("kernel matrix has no positive eigenvalues")

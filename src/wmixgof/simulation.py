@@ -53,7 +53,9 @@ class StudyResult:
     ``p_values`` holds one entry per successful replication, sorted
     ascending; replications whose fit or kernel stage failed are only
     counted. ``n_spike_fits`` counts the successful replications whose fit
-    is a spike (``FitResult.spike``); their p-values stay in. The
+    is a spike (``FitResult.spike``); their p-values stay in.
+    ``max_quantile_rounds`` is the largest ``GofOutcome.n_quantile_rounds``
+    of the successful replications, 0 with known parameters. The
     Anderson-Darling fields are None when fewer than two p-values are
     available.
     """
@@ -67,6 +69,7 @@ class StudyResult:
     p_values: np.ndarray
     n_failed_fits: int
     n_spike_fits: int
+    max_quantile_rounds: int
     ad_statistic: float | None
     ad_p_value: float | None
 
@@ -152,8 +155,8 @@ def _study_window(
     estimate_parameters: bool,
     first: int,
     count: int,
-) -> tuple[list[float], int, int]:
-    """P-values, failure count and spike-fit count of replications [first, first + count).
+) -> tuple[list[float], int, int, int]:
+    """Replications [first, first + count): p-values, failures, spike fits, most quantile rounds.
 
     A replication fails when its fit or kernel stage raises; any other
     error propagates.
@@ -162,7 +165,7 @@ def _study_window(
     if not estimate_parameters:
         known_lambdas = WeightedChiSquare(simple_hypothesis_lambdas(_N_SIMPLE_LAMBDAS))
     p_values = []
-    n_failed = n_spike = 0
+    n_failed = n_spike = max_rounds = 0
     for rep in range(first, first + count):
         s_sample, s_fit = _replication_seeds(seed, rep)
         sample = sample_mixture(population.theta, sample_size, s_sample)
@@ -172,6 +175,7 @@ def _study_window(
                 outcome = gof_test(sample, config, grid_size, tail_tolerance, imhof_tolerance)
                 p_values.append(outcome.p_value)
                 n_spike += outcome.fit.spike
+                max_rounds = max(max_rounds, outcome.n_quantile_rounds)
             else:
                 w2 = cvm_statistic(pit(sample, population.theta))
                 p_values.append(imhof_tail(known_lambdas, w2, imhof_tolerance))
@@ -179,7 +183,7 @@ def _study_window(
             if exc.stage is None:
                 raise
             n_failed += 1
-    return p_values, n_failed, n_spike
+    return p_values, n_failed, n_spike, max_rounds
 
 
 def run_study(
@@ -253,13 +257,14 @@ def run_study(
             max_workers=len(firsts), mp_context=context, initializer=_one_blas_thread
         ) as pool:
             parts = list(pool.map(window, firsts, counts))
-    n_failed = sum(f for _, f, _ in parts)
+    p_lists, failed, spikes, rounds = zip(*parts)
+    n_failed = sum(failed)
     if n_failed > 0.2 * n_reps:
         raise StudyAborted(
             f"{n_failed} of {n_reps} replications failed; configuration looks broken"
         )
 
-    p_arr = np.sort(np.asarray([p for ps, _, _ in parts for p in ps], dtype=float))
+    p_arr = np.sort(np.asarray([p for ps in p_lists for p in ps], dtype=float))
     ad_stat = ad_pval = None
     if p_arr.size >= 2:
         clipped = np.clip(p_arr, _P_CLIP, 1.0 - _P_CLIP)
@@ -278,7 +283,8 @@ def run_study(
         estimate_parameters=estimate_parameters,
         p_values=p_arr,
         n_failed_fits=n_failed,
-        n_spike_fits=sum(k for _, _, k in parts),
+        n_spike_fits=sum(spikes),
+        max_quantile_rounds=max(rounds),
         ad_statistic=ad_stat,
         ad_p_value=ad_pval,
     )

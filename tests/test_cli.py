@@ -226,6 +226,7 @@ class TestCmdSimulate:
         )
         assert len(report["p_values"]) + report["n_failed_fits"] == 2
         assert report["n_spike_fits"] == 0
+        assert 1 < report["max_quantile_rounds"] <= mixture_model._MAX_QUANTILE_ROUNDS
 
     def test_report_round_trips(self, runner, tmp_path):
         out = tmp_path / "study.json"

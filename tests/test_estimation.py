@@ -477,6 +477,38 @@ def test_kernels_identical_across_blas_thread_counts():
     assert outputs[0] == outputs[1]
 
 
+_MEMORY_SCRIPT = """
+from wmixgof import FitConfig, benchmark_populations, build_q_matrix, eigen_spectrum, fit_mle
+from wmixgof import sample_mixture
+
+
+def status_kb(field):
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+
+
+sample = sample_mixture(benchmark_populations()[4].theta, 300, rng_seed=5)
+fit = fit_mle(sample, FitConfig(seed=5))
+eigen_spectrum(build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200))
+before = status_kb("VmRSS")
+eigen_spectrum(build_q_matrix(fit.theta_hat, fit.hessian, sample.n, {m}))
+print(1024 * (status_kb("VmHWM") - before))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_kernel_build_and_solve_hold_one_matrix():
+    # After a warm-up at m=200, building and solving at m=1500 may raise the
+    # high-water mark of resident memory by little more than the one m-by-m
+    # matrix the eigensolver works on. A dense kernel plus eigvalsh's copy
+    # of it raises it by about two.
+    m = 1500
+    rise = int(_fresh_interpreter_output(_MEMORY_SCRIPT.format(m=m)))
+    assert rise <= 1.3 * 8 * m * m
+
+
 def test_lbfgsb_runs_on_one_scipy_blas_thread(monkeypatch, fitted_pop1):
     threads = estimation._scipy_openblas_threads()
     if threads is None:
@@ -509,6 +541,16 @@ def test_cli_import_leaves_scipy_packages_and_process_pool_unimported():
     unused = ("scipy.optimize", "scipy.special", "multiprocessing", "concurrent.futures")
     script = f"import sys, wmixgof.cli\nprint([m for m in {unused!r} if m in sys.modules])"
     assert _fresh_interpreter_output(script) == "[]\n"
+    # The eigensolver is numpy's own LAPACK, so a test run does not import
+    # scipy.linalg either.
+    script = """
+import sys
+from wmixgof import FitConfig, benchmark_populations, gof_test, sample_mixture
+sample = sample_mixture(benchmark_populations()[4].theta, 100, rng_seed=3)
+gof_test(sample, FitConfig(seed=3), 50, 1e-4, 1e-6)
+print("scipy.linalg" in sys.modules)
+"""
+    assert _fresh_interpreter_output(script) == "False\n"
 
 
 _NEAR = np.concatenate([np.linspace(c - 1e-3, c + 1e-3, 2001) for c in (0.3, 0.65)])

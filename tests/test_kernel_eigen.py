@@ -24,6 +24,7 @@ from wmixgof import (
 )
 from wmixgof.kernel_eigen import KernelMatrix, brownian_bridge_q, grid_points
 from wmixgof.mixture_model import cdf_gradients, invert_cdf, mixture_cdf
+import wmixgof.estimation as estimation
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
 
@@ -155,7 +156,7 @@ def _ref_kernel(theta, hessian, n, m, max_iter=200):
 
 
 def _p_value(entries, w2):
-    spectrum = eigen_spectrum(KernelMatrix(m=entries.shape[0], entries=entries))
+    spectrum = kernel_eigen._spectrum(np.linalg.eigvalsh(entries), 1e-4)
     return imhof_tail(WeightedChiSquare(spectrum.retained), w2)
 
 
@@ -259,10 +260,10 @@ class TestBuildQMatrix:
         with pytest.raises(DomainError):
             build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1)
 
-    def test_peak_memory_is_one_matrix_at_m_1000(self, fits_n1000):
-        # The Gram form holds one m-by-m float64 array (8 MB) plus
-        # temporaries of at most a block of rows; forming (-H/n)^{-1}
-        # densely and symmetrizing with q + q' peaked at 24.1 MB.
+    def test_peak_memory_is_no_matrix_at_m_1000(self, fits_n1000):
+        # The build keeps the 5-by-m factor and allocates no m-by-m array
+        # (8 MB); it peaks at about 0.15 MB. Filling the kernel in one
+        # buffer peaked at 9.2 MB, and forming (-H/n)^{-1} densely at 24.1 MB.
         sample, fit = fits_n1000[0]
         tracemalloc.start()
         try:
@@ -270,7 +271,7 @@ class TestBuildQMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8e6
+        assert peak <= 0.5e6
 
 
 @pytest.fixture(scope="module")
@@ -342,8 +343,7 @@ class TestEigenSpectrum:
 
     def test_diagonal_matrix_sorted(self):
         m = 3
-        q = KernelMatrix(m=m, entries=np.diag([3.0, 1.0, 2.0]) / m)
-        spec = eigen_spectrum(q, tail_tolerance=0.0)
+        spec = kernel_eigen._spectrum(np.array([3.0, 1.0, 2.0]) / m, tail_tolerance=0.0)
         assert spec.lambdas == pytest.approx(np.array([3.0, 2.0, 1.0]) / m)
 
     def test_trace_identity(self, fitted_pop2):
@@ -353,8 +353,7 @@ class TestEigenSpectrum:
         assert float(np.sum(spec.lambdas)) == pytest.approx(float(np.trace(q.entries)), abs=1e-8)
 
     def test_negative_eigenvalues_counted_not_retained(self):
-        q = KernelMatrix(m=2, entries=np.diag([1.0, -0.1]))
-        spec = eigen_spectrum(q)
+        spec = kernel_eigen._spectrum(np.array([1.0, -0.1]), tail_tolerance=1e-4)
         assert spec.n_negative == 1
         assert spec.min_eigenvalue == pytest.approx(-0.1)
         assert np.all(spec.retained > 0)
@@ -364,6 +363,27 @@ class TestEigenSpectrum:
         spec = eigen_spectrum(q, tail_tolerance=0.05)
         assert spec.n_retained < 200
         assert spec.trace_captured >= 0.95
+
+    def test_rejects_non_finite_eigenvalues(self):
+        with pytest.raises(NonFiniteKernel):
+            kernel_eigen._spectrum(np.array([1.0, np.nan]), tail_tolerance=1e-4)
+
+    def test_solver_is_numpys_own_lapack(self):
+        if estimation._bundled_openblas("numpy") is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        assert kernel_eigen._dsyevd() is not None
+
+    @pytest.mark.parametrize("m", [200, 1000])
+    @pytest.mark.parametrize("pop_index", [1, 4])
+    def test_bit_identical_to_eigvalsh_with_and_without_the_binding(
+        self, fits_n1000, monkeypatch, pop_index, m
+    ):
+        sample, fit = fits_n1000[pop_index]
+        q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, m)
+        expected = np.linalg.eigvalsh(q.entries)[::-1].tobytes()
+        assert eigen_spectrum(q).lambdas.tobytes() == expected
+        monkeypatch.setattr(kernel_eigen, "_dsyevd", lambda: None)
+        assert eigen_spectrum(q).lambdas.tobytes() == expected
 
     def test_nystrom_errors_shrink_with_grid(self):
         errors = [np.max(bridge_eigen_errors(m)) for m in (50, 100, 200, 500)]
@@ -389,16 +409,32 @@ class TestSimpleHypothesisLambdas:
 
 
 class TestKernelMatrixType:
-    def test_rejects_asymmetric(self):
-        bad = np.array([[1.0, 0.2], [0.1, 1.0]])
-        with pytest.raises(DomainError):
-            KernelMatrix(m=2, entries=bad)
-
     def test_rejects_wrong_shape(self):
-        with pytest.raises(DomainError):
-            KernelMatrix(m=3, entries=np.eye(2))
+        for shape in [(3,), (5, 2), (1, 5, 3)]:
+            with pytest.raises(DomainError):
+                KernelMatrix(m=3, factor=np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NonFiniteKernel):
-            KernelMatrix(m=2, entries=np.array([[1.0, bad], [bad, 1.0]]))
+            KernelMatrix(m=2, factor=np.array([[1.0, bad]]))
+
+    def test_rejects_overflowing_gram_product(self):
+        with pytest.raises(NonFiniteKernel):
+            KernelMatrix(m=2, factor=np.array([[1e200, 1.0]]))
+
+    def test_factor_is_read_only(self):
+        q = KernelMatrix(m=2, factor=np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError):
+            q.factor[0, 0] = 3.0
+
+    def test_entries_are_bridge_minus_gram_product(self):
+        r = np.array([[0.1, -0.2, 0.3], [0.05, 0.0, -0.1]])
+        s = grid_points(3)
+        bridge = (np.minimum.outer(s, s) - np.outer(s, s)) / 4.0
+        q = KernelMatrix(m=3, factor=r)
+        assert q.entries == pytest.approx(bridge - r.T @ r, abs=1e-16)
+        # each access is a new buffer that the caller may overwrite
+        first = q.entries
+        first[:] = 0.0
+        assert not np.array_equal(q.entries, first)

@@ -39,9 +39,16 @@ def blas_thread_counts():
 
 def assert_same_study(a, b):
     assert np.array_equal(a.p_values, b.p_values)
-    assert (a.n_failed_fits, a.n_spike_fits, a.ad_statistic, a.ad_p_value) == (
+    assert (
+        a.n_failed_fits,
+        a.n_spike_fits,
+        a.max_quantile_rounds,
+        a.ad_statistic,
+        a.ad_p_value,
+    ) == (
         b.n_failed_fits,
         b.n_spike_fits,
+        b.max_quantile_rounds,
         b.ad_statistic,
         b.ad_p_value,
     )
@@ -103,6 +110,18 @@ class TestRunStudy:
         b = run_study(populations[0], 50, 100, seed=5, estimate_parameters=False)
         assert np.array_equal(a.p_values, b.p_values)
         assert a.ad_statistic == b.ad_statistic
+
+    def test_max_quantile_rounds_over_replications(self, populations):
+        spec = populations[4]
+        study = run_study(spec, 3, 60, seed=21, grid_size=50)
+        rounds = []
+        for rep in range(3):
+            s_sample, s_fit = simulation._replication_seeds(21, rep)
+            sample = sample_mixture(spec.theta, 60, s_sample)
+            rounds.append(gof_test(sample, FitConfig(seed=s_fit), 50, 1e-4, 1e-6).n_quantile_rounds)
+        assert study.max_quantile_rounds == max(rounds) > 1
+        known = run_study(spec, 3, 60, seed=21, estimate_parameters=False)
+        assert known.max_quantile_rounds == 0
 
     def test_deterministic_estimated(self, populations):
         kwargs = dict(grid_size=50, estimate_parameters=True)
