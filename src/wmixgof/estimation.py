@@ -24,9 +24,9 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import AllStartsFailed, DomainError, NonFiniteHessian, TooFewObservations
 from .mixture_model import MixtureParams, Sample
@@ -45,6 +45,8 @@ def _scipy_extension(package: str, module: str):
     import importlib.util
     import os
 
+    import scipy
+
     path = os.path.join(os.path.dirname(scipy.__file__), package)
     spec = importlib.machinery.PathFinder.find_spec(f"scipy.{package}.{module}", [path])
     if spec is None:
@@ -54,9 +56,25 @@ def _scipy_extension(package: str, module: str):
     return extension
 
 
-setulb = _scipy_extension("optimize", "_lbfgsb").setulb
-_special = _scipy_extension("special", "_special_ufuncs")
-expit, gammaln, logit = _special.expit, _special.gammaln, _special.logit
+class _ScipyFunctions(NamedTuple):
+    setulb: object
+    expit: object
+    gammaln: object
+    logit: object
+
+
+@cache
+def _scipy() -> _ScipyFunctions:
+    """The fitter's scipy routines, loaded on the first fit.
+
+    A study with known parameters, ``eigen-check`` and a caller that never
+    fits then load neither scipy nor its second OpenBLAS.
+    """
+    special = _scipy_extension("special", "_special_ufuncs")
+    return _ScipyFunctions(
+        _scipy_extension("optimize", "_lbfgsb").setulb, special.expit, special.gammaln, special.logit
+    )
+
 
 # Mixing proportions this close to {0, 1} disqualify a start: the
 # composite-hypothesis kernel needs an interior, regular optimum.
@@ -197,14 +215,14 @@ def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
 def _to_eta(th: np.ndarray) -> np.ndarray:
     eta = np.empty(5)
     eta[:4] = np.log(th[:4])
-    eta[4] = logit(min(max(th[4], 1e-6), 1.0 - 1e-6))
+    eta[4] = _scipy().logit(min(max(th[4], 1e-6), 1.0 - 1e-6))
     return np.clip(eta, -_BOX5, _BOX5)
 
 
 def _from_eta(eta: np.ndarray) -> np.ndarray:
     th = np.empty(5)
     th[:4] = np.exp(eta[:4])
-    th[4] = float(expit(eta[4]))
+    th[4] = float(_scipy().expit(eta[4]))
     return th
 
 
@@ -247,6 +265,7 @@ def _lbfgsb(
     ``maxiter``. Each evaluation is delegated to the generator
     ``objective(x)``. Returns (x, f) as minimize reports them.
     """
+    setulb = _scipy().setulb
     n = x0.size
     m = _LBFGSB_M
     lower, upper = -box, box
@@ -302,7 +321,7 @@ def _fit_start(theta0: np.ndarray, max_iterations: int):
     for _ in range(_EM_CYCLES):
         _, _, resp = yield _from_eta(eta)
         p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
-        eta[4] = float(logit(p_new))
+        eta[4] = float(_scipy().logit(p_new))
         th = np.array([0.0, 0.0, 0.0, 0.0, p_new])
         eta[:4], nll = yield from _lbfgsb(
             partial(_nll_eta4, th=th), eta[:4], _BOX4, maxiter=25, ftol=1e-12
@@ -417,7 +436,7 @@ def _moment_weibull(x: np.ndarray) -> tuple:
         alpha = 20.0
     else:
         alpha = float(np.clip((s / m) ** -1.086, 0.15, 60.0))
-    beta = m / math.exp(gammaln(1.0 + 1.0 / alpha))
+    beta = m / math.exp(_scipy().gammaln(1.0 + 1.0 / alpha))
     return alpha, beta
 
 

@@ -15,6 +15,7 @@ from wmixgof import (
 )
 from wmixgof.cli import main, read_observations, DataFileError
 import wmixgof.estimation as estimation
+import wmixgof.imhof as imhof
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
 from wmixgof.mixture_model import invert_cdf
@@ -302,6 +303,12 @@ class TestExitCodes:
         result = runner.invoke(main, ["test", "-i", pop5_file, "-m", "50"])
         assert result.exit_code == 4
         assert "error: kernel: kernel entries must be finite" in result.output
+
+    def test_exhausted_quadrature_budget_exits_4(self, runner, pop5_file, monkeypatch):
+        monkeypatch.setattr(imhof, "_MAX_NODES", 10)
+        result = runner.invoke(main, ["test", "-i", pop5_file, "-m", "50"])
+        assert result.exit_code == 4
+        assert "error: kernel: node budget exhausted" in result.output
 
     @pytest.mark.parametrize(
         "args",

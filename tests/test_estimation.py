@@ -541,6 +541,19 @@ def test_cli_import_leaves_scipy_packages_and_process_pool_unimported():
     unused = ("scipy.optimize", "scipy.special", "multiprocessing", "concurrent.futures")
     script = f"import sys, wmixgof.cli\nprint([m for m in {unused!r} if m in sys.modules])"
     assert _fresh_interpreter_output(script) == "[]\n"
+    # scipy and the fitter's two compiled modules load on the first fit, so
+    # a study with known parameters loads none of them.
+    fitter = ("scipy", "scipy.optimize._lbfgsb", "scipy.special._special_ufuncs")
+    script = f"""
+import sys, wmixgof.cli
+from wmixgof import FitConfig, benchmark_populations, fit_mle, run_study, sample_mixture
+population = benchmark_populations()[4]
+run_study(population, 2, 100, 3, estimate_parameters=False)
+print([m for m in {fitter!r} if m in sys.modules])
+fit_mle(sample_mixture(population.theta, 100, rng_seed=3), FitConfig(seed=3))
+print([m for m in {fitter!r} if m not in sys.modules])
+"""
+    assert _fresh_interpreter_output(script) == "[]\n[]\n"
     # The eigensolver is numpy's own LAPACK, so a test run does not import
     # scipy.linalg either.
     script = """
@@ -568,7 +581,7 @@ _NEAR = np.concatenate([np.linspace(c - 1e-3, c + 1e-3, 2001) for c in (0.3, 0.6
     ],
 )
 def test_loaded_special_functions_match_scipy_special(name, x):
-    ours, theirs = getattr(estimation, name), getattr(scipy.special, name)
+    ours, theirs = getattr(estimation._scipy(), name), getattr(scipy.special, name)
     assert ours(x).tobytes() == theirs(x).tobytes()
     assert all(ours(float(v)) == theirs(float(v)) for v in x[::997])
 

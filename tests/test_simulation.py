@@ -27,6 +27,7 @@ from wmixgof import (
     sample_mixture,
 )
 import wmixgof.estimation as estimation
+import wmixgof.imhof as imhof
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.simulation as simulation
 
@@ -249,6 +250,24 @@ class TestRunStudy:
         assert res.n_failed_fits == 1
         assert res.p_values.size == 4
 
+    def test_exhausted_quadrature_budget_counts_as_a_failure(self, populations, monkeypatch):
+        real_tail = simulation.imhof_tail
+        calls = {"n": 0}
+
+        def starved_once(dist, x, tol):
+            calls["n"] += 1
+            with monkeypatch.context() as patch:
+                if calls["n"] == 1:
+                    patch.setattr(imhof, "_MAX_NODES", 10)
+                return real_tail(dist, x, tol)
+
+        whole = run_study(populations[4], 5, 60, seed=21, estimate_parameters=False)
+        monkeypatch.setattr(simulation, "imhof_tail", starved_once)
+        res = run_study(populations[4], 5, 60, seed=21, estimate_parameters=False, processes=1)
+        assert res.n_failed_fits == 1
+        assert set(res.p_values.tolist()) < set(whole.p_values.tolist())
+        assert res.p_values.size == 4
+
     def test_spike_fit_is_counted_not_dropped(self, populations):
         # replication 187 fits alpha1 = 1700.75 and used to abort the study
         res = run_study(populations[1], 1, 300, 0, first_rep=187)
@@ -271,11 +290,12 @@ class TestRunStudy:
         # quantile solver gave 0.7197759499073867; the bracketed Newton
         # solver stops on the residual alone and moves it by 8.0e-12. The
         # Gram-form kernel, from the Cholesky factor of -H/n instead of its
-        # inverse, moves it by another 2.7e-15.
+        # inverse, moves it by another 2.7e-15, and Gauss-Kronrod panels in
+        # place of adaptive Simpson in the Imhof integral by 1.9e-11.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
-        assert res.p_values.tolist() == [0.7197759498993895]
+        assert res.p_values.tolist() == [0.7197759498802522]
 
     def test_workers_run_blas_on_one_thread(self, populations, monkeypatch):
         numpy_blas = estimation._scipy_openblas_threads("numpy")
