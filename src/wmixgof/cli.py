@@ -180,19 +180,6 @@ def grid_option(default: int):
     )
 
 
-def kernel_options(grid_size: int = 500):
-    return _options(
-        grid_option(grid_size),
-        click.option(
-            "--tail-tolerance",
-            type=_FiniteRange(0.0, 1.0, max_open=True),
-            default=1e-4,
-            show_default=True,
-        ),
-        click.option("--imhof-tolerance", type=_POSITIVE, default=1e-6, show_default=True),
-    )
-
-
 class _Commands(click.Group):
     """Turns an error of the fit or kernel stage into its exit code and one line on stderr."""
 
@@ -263,18 +250,8 @@ def cmd_fit(input_path, output, seed, n_starts, tolerance, max_iterations):
 @output_option
 @seed_option
 @fit_options
-@kernel_options()
-def cmd_test(
-    input_path,
-    output,
-    seed,
-    n_starts,
-    tolerance,
-    max_iterations,
-    grid_size,
-    tail_tolerance,
-    imhof_tolerance,
-):
+@grid_option(500)
+def cmd_test(input_path, output, seed, n_starts, tolerance, max_iterations, grid_size):
     """Run the full goodness-of-fit test on a data file.
 
     Fits the mixture, transforms the sample through the fitted CDF,
@@ -284,7 +261,7 @@ def cmd_test(
     """
     sample = _read_sample(input_path)
     config = FitConfig(n_starts, tolerance, max_iterations, seed)
-    outcome = gof_test(sample, config, grid_size, tail_tolerance, imhof_tolerance)
+    outcome = gof_test(sample, config, grid_size)
     spectrum = outcome.spectrum
     report = {
         "command": "test",
@@ -310,7 +287,7 @@ def cmd_test(
 @output_option
 @seed_option
 @fit_options
-@kernel_options(grid_size=200)
+@grid_option(200)
 @click.option("--n-reps", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--sample-size", type=click.IntRange(min=20), default=100, show_default=True)
 @click.option(
@@ -334,8 +311,6 @@ def cmd_simulate(
     tolerance,
     max_iterations,
     grid_size,
-    tail_tolerance,
-    imhof_tolerance,
     n_reps,
     sample_size,
     population,
@@ -356,9 +331,7 @@ def cmd_simulate(
             sample_size,
             seed,
             grid_size=grid_size,
-            fit_config=FitConfig(n_starts, tolerance, max_iterations, seed),
-            tail_tolerance=tail_tolerance,
-            imhof_tolerance=imhof_tolerance,
+            fit_config=FitConfig(n_starts, tolerance, max_iterations),
             processes=processes,
         )
     except StudyAborted as exc:
@@ -376,9 +349,9 @@ def cmd_simulate(
             "beta2": theta.beta2,
             "p": theta.p,
         },
-        "n_reps": result.n_reps,
-        "sample_size": result.sample_size,
-        "grid_size": result.grid_size,
+        "n_reps": n_reps,
+        "sample_size": sample_size,
+        "grid_size": grid_size,
         "n_failed_fits": result.n_failed_fits,
         "n_spike_fits": result.n_spike_fits,
         "max_quantile_rounds": result.max_quantile_rounds,
@@ -395,7 +368,7 @@ def cmd_simulate(
 @grid_option(500)
 def cmd_eigen_check(output, grid_size):
     """Compare discretized Brownian bridge eigenvalues to 1/(pi*j)**2."""
-    spectrum = eigen_spectrum(brownian_bridge_q(grid_size), tail_tolerance=0.0)
+    spectrum = eigen_spectrum(brownian_bridge_q(grid_size))
     k = min(10, grid_size)
     exact = simple_hypothesis_lambdas(k)
     rows = []

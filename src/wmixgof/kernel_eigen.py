@@ -65,7 +65,7 @@ class KernelMatrix:
     n_quantile_rounds: int = 0
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.factor, dtype=float)
+        r = np.array(self.factor, dtype=float)
         if self.m < 2:
             raise DomainError("grid size m must be at least 2")
         if r.ndim != 2 or r.shape[1] != self.m:

@@ -60,12 +60,6 @@ class StudyResult:
     available.
     """
 
-    population: PopulationSpec
-    n_reps: int
-    sample_size: int
-    grid_size: int
-    seed: int
-    estimate_parameters: bool
     p_values: np.ndarray
     n_failed_fits: int
     n_spike_fits: int
@@ -97,15 +91,16 @@ def _replication_seeds(seed: int, rep: int) -> tuple:
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: run numpy's and scipy's bundled OpenBLAS on one thread.
+    """Pool initializer: run numpy's bundled OpenBLAS on one thread.
 
     The windows already keep every core busy; OpenBLAS pools of one thread
-    per core in each worker would contend for the same cores.
+    per core in each worker would contend for the same cores. scipy's
+    OpenBLAS is left alone: ``fit_mle`` holds it at one thread while it
+    runs, and a worker that never fits never loads scipy.
     """
-    for package in ("numpy", "scipy"):
-        threads = _scipy_openblas_threads(package)
-        if threads is not None:
-            threads[1](1)
+    threads = _scipy_openblas_threads("numpy")
+    if threads is not None:
+        threads[1](1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,24 +118,20 @@ class GofOutcome:
     n_quantile_rounds: int
 
 
-def gof_test(
-    sample: Sample,
-    fit_config: FitConfig,
-    grid_size: int,
-    tail_tolerance: float,
-    imhof_tolerance: float,
-) -> GofOutcome:
+def gof_test(sample: Sample, fit_config: FitConfig, grid_size: int) -> GofOutcome:
     """Test the sample against the two-component Weibull mixture family.
 
     Fits the mixture, computes the Cramer-von Mises statistic of the
     transformed sample and takes its p-value from the eigenvalues of the
-    kernel estimated at the fit, on a grid of ``grid_size`` levels.
+    kernel estimated at the fit, on a grid of ``grid_size`` levels. The
+    eigenvalues are truncated, and the tail integrated, at the defaults of
+    ``eigen_spectrum`` and ``imhof_tail``.
     """
     fit = fit_mle(sample, fit_config)
     w2 = cvm_statistic(pit(sample, fit.theta_hat))
     q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
-    spectrum = eigen_spectrum(q, tail_tolerance)
-    p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2, imhof_tolerance)
+    spectrum = eigen_spectrum(q)
+    p_value = imhof_tail(WeightedChiSquare(spectrum.retained), w2)
     return GofOutcome(fit, w2, spectrum, p_value, q.n_quantile_rounds)
 
 
@@ -150,8 +141,6 @@ def _study_window(
     seed: int,
     grid_size: int,
     fit_config: FitConfig,
-    tail_tolerance: float,
-    imhof_tolerance: float,
     estimate_parameters: bool,
     first: int,
     count: int,
@@ -172,13 +161,13 @@ def _study_window(
         try:
             if estimate_parameters:
                 config = replace(fit_config, seed=s_fit)
-                outcome = gof_test(sample, config, grid_size, tail_tolerance, imhof_tolerance)
+                outcome = gof_test(sample, config, grid_size)
                 p_values.append(outcome.p_value)
                 n_spike += outcome.fit.spike
                 max_rounds = max(max_rounds, outcome.n_quantile_rounds)
             else:
                 w2 = cvm_statistic(pit(sample, population.theta))
-                p_values.append(imhof_tail(known_lambdas, w2, imhof_tolerance))
+                p_values.append(imhof_tail(known_lambdas, w2))
         except WmixgofError as exc:
             if exc.stage is None:
                 raise
@@ -194,8 +183,6 @@ def run_study(
     *,
     grid_size: int = 200,
     fit_config: FitConfig | None = None,
-    tail_tolerance: float = 1e-4,
-    imhof_tolerance: float = 1e-6,
     estimate_parameters: bool = True,
     first_rep: int = 0,
     processes: int = 1,
@@ -215,10 +202,11 @@ def run_study(
     the replications [first_rep, first_rep + n_reps) can be split into
     windows: with ``processes > 1`` each window runs in its own spawned
     worker, and the pooled result equals that of one sequential run bit for
-    bit. Each worker runs numpy's and scipy's bundled OpenBLAS on one
-    thread; from about ``grid_size=300`` the eigenvalues move in their last
-    bits with the BLAS thread count, so there the sequential run to compare
-    with is one made on one BLAS thread. ``processes=1`` runs in this
+    bit. Each worker runs numpy's bundled OpenBLAS on one thread (``fit_mle``
+    holds scipy's at one thread itself, so a known-parameter worker never
+    loads scipy); from about ``grid_size=300`` the eigenvalues move in their
+    last bits with the BLAS thread count, so there the sequential run to
+    compare with is one made on one BLAS thread. ``processes=1`` runs in this
     process and starts no pool; a script that asks for more needs the usual
     ``if __name__ == "__main__":`` guard.
     """
@@ -239,8 +227,6 @@ def run_study(
         seed,
         grid_size,
         fit_config or FitConfig(),
-        tail_tolerance,
-        imhof_tolerance,
         estimate_parameters,
     )
     if processes == 1:
@@ -275,12 +261,6 @@ def run_study(
             ad_stat = ad_pval = None
     p_arr.setflags(write=False)
     return StudyResult(
-        population=population,
-        n_reps=n_reps,
-        sample_size=sample_size,
-        grid_size=grid_size,
-        seed=seed,
-        estimate_parameters=estimate_parameters,
         p_values=p_arr,
         n_failed_fits=n_failed,
         n_spike_fits=sum(spikes),

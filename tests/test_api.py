@@ -103,5 +103,5 @@ def test_traced_benchmark_chain_reproduces_the_untraced_op(monkeypatch):
     config = wmixgof.FitConfig(seed=s_cmd)
     rec = OpRecord(0)
     cli_workload.fitted_chain(rec, sample, config, Tracer())
-    outcome = wmixgof.gof_test(sample, config, cli_workload.grid_size, 1e-4, 1e-6)
+    outcome = wmixgof.gof_test(sample, config, cli_workload.grid_size)
     assert rec.p_value == outcome.p_value

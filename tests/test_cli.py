@@ -317,10 +317,6 @@ class TestExitCodes:
             ["test", "--n-starts", "0"],
             ["fit", "--tolerance", "0"],
             ["fit", "--tolerance", "nan"],
-            ["test", "--tail-tolerance", "1.5"],
-            ["test", "--tail-tolerance", "nan"],
-            ["test", "--imhof-tolerance", "0"],
-            ["test", "--imhof-tolerance", "nan"],
             ["simulate", "--population", "1", "--n-starts", "0"],
             ["eigen-check", "-m", "1"],
             ["fit", "--seed", "-1"],
@@ -338,7 +334,7 @@ class TestExitCodes:
 
 class TestConfigEcho:
     FIT = ["input", "seed", "n_starts", "tolerance", "max_iterations"]
-    KERNEL = ["grid_size", "tail_tolerance", "imhof_tolerance"]
+    KERNEL = ["grid_size"]
 
     @pytest.mark.parametrize(
         "args, keys",

@@ -428,6 +428,12 @@ class TestKernelMatrixType:
         with pytest.raises(ValueError):
             q.factor[0, 0] = 3.0
 
+    def test_leaves_the_callers_factor_writable(self):
+        f = np.zeros((5, 10))
+        q = KernelMatrix(10, f)
+        f[0, 0] = 1.0
+        assert q.factor[0, 0] == 0.0
+
     def test_entries_are_bridge_minus_gram_product(self):
         r = np.array([[0.1, -0.2, 0.3], [0.05, 0.0, -0.1]])
         s = grid_points(3)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -32,10 +33,13 @@ import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.simulation as simulation
 
 
-def blas_thread_counts():
-    """Thread counts of numpy's and scipy's bundled OpenBLAS, where present."""
-    found = (estimation._scipy_openblas_threads(p) for p in ("numpy", "scipy"))
-    return [threads[0]() for threads in found if threads is not None]
+def worker_state():
+    """Thread count of numpy's bundled OpenBLAS, and whether scipy is loaded.
+
+    It must not ask for scipy's thread count: that would load scipy.
+    """
+    get_threads, _ = estimation._scipy_openblas_threads("numpy")
+    return get_threads(), "scipy" in sys.modules
 
 
 def assert_same_study(a, b):
@@ -84,7 +88,7 @@ class TestGofTest:
     def test_outcome_matches_the_layer_calls(self, populations):
         sample = sample_mixture(populations[4].theta, 300, rng_seed=8)
         config = FitConfig(seed=3)
-        outcome = gof_test(sample, config, 200, 1e-4, 1e-6)
+        outcome = gof_test(sample, config, 200)
         fit = fit_mle(sample, config)
         q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200)
         spectrum = eigen_spectrum(q, 1e-4)
@@ -101,7 +105,7 @@ class TestGofTest:
         study = run_study(spec, 1, 60, seed=21, grid_size=50, first_rep=3)
         s_sample, s_fit = simulation._replication_seeds(21, 3)
         sample = sample_mixture(spec.theta, 60, s_sample)
-        outcome = gof_test(sample, FitConfig(seed=s_fit), 50, 1e-4, 1e-6)
+        outcome = gof_test(sample, FitConfig(seed=s_fit), 50)
         assert study.p_values.tolist() == [outcome.p_value]
 
 
@@ -119,7 +123,7 @@ class TestRunStudy:
         for rep in range(3):
             s_sample, s_fit = simulation._replication_seeds(21, rep)
             sample = sample_mixture(spec.theta, 60, s_sample)
-            rounds.append(gof_test(sample, FitConfig(seed=s_fit), 50, 1e-4, 1e-6).n_quantile_rounds)
+            rounds.append(gof_test(sample, FitConfig(seed=s_fit), 50).n_quantile_rounds)
         assert study.max_quantile_rounds == max(rounds) > 1
         known = run_study(spec, 3, 60, seed=21, estimate_parameters=False)
         assert known.max_quantile_rounds == 0
@@ -254,12 +258,12 @@ class TestRunStudy:
         real_tail = simulation.imhof_tail
         calls = {"n": 0}
 
-        def starved_once(dist, x, tol):
+        def starved_once(dist, x):
             calls["n"] += 1
             with monkeypatch.context() as patch:
                 if calls["n"] == 1:
                     patch.setattr(imhof, "_MAX_NODES", 10)
-                return real_tail(dist, x, tol)
+                return real_tail(dist, x)
 
         whole = run_study(populations[4], 5, 60, seed=21, estimate_parameters=False)
         monkeypatch.setattr(simulation, "imhof_tail", starved_once)
@@ -304,15 +308,19 @@ class TestRunStudy:
         seen = []
 
         class Probing(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                seen.append(self.submit(blas_thread_counts).result(timeout=120))
+            # probes a worker after the windows have run in the pool
+            def __exit__(self, *exc):
+                seen.append(self.submit(worker_state).result(timeout=120))
+                return super().__exit__(*exc)
 
         environ = dict(os.environ)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probing)
         kwargs = dict(seed=21, grid_size=300)
         pooled = run_study(populations[4], 2, 60, processes=2, **kwargs)
-        assert seen == [[1] * len(blas_thread_counts())]
+        run_study(populations[4], 4, 100, 1, estimate_parameters=False, processes=2)
+        assert [threads for threads, _ in seen] == [1, 1]
+        # a worker that never fits never loads scipy
+        assert seen[1] == (1, False)
         assert dict(os.environ) == environ
         # From about m=300 the eigenvalues move in their last bits with the
         # BLAS thread count, so workers match one process on one thread.
