@@ -11,7 +11,6 @@ on stderr.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -129,49 +128,17 @@ def _config_echo() -> dict:
     }
 
 
-def _options(*options):
-    """Apply click options so that they are declared, and echoed, in the given order."""
-
-    def decorate(f):
-        for option in reversed(options):
-            f = option(f)
-        return f
-
-    return decorate
-
-
-class _FiniteRange(click.FloatRange):
-    """A float range that also rejects nan and infinities.
-
-    nan compares false with both bounds, so a plain FloatRange lets it through.
-    """
-
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{number} is not a finite number.", param, ctx)
-        return number
-
-
-_POSITIVE = _FiniteRange(min=0.0, min_open=True)
-
 seed_option = click.option(
     "--seed",
     type=click.IntRange(min=0),
     default=0,
     show_default=True,
-    envvar="WMIXGOF_SEED",
-    help="Master seed (env: WMIXGOF_SEED).",
+    help="Master seed.",
 )
 output_option = click.option(
     "--output", "-o", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here instead of stdout."
 )
 input_option = click.option("--input", "-i", "input_path", required=True, type=click.Path())
-fit_options = _options(
-    click.option("--n-starts", type=click.IntRange(min=1), default=10, show_default=True),
-    click.option("--tolerance", type=_POSITIVE, default=1e-6, show_default=True),
-    click.option("--max-iterations", type=click.IntRange(min=1), default=200, show_default=True),
-)
 
 
 def grid_option(default: int):
@@ -194,29 +161,8 @@ class _Commands(click.Group):
 
 @click.group(cls=_Commands, context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(__version__)
-@click.option(
-    "--config",
-    "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="JSON file with per-command option defaults; flags override it.",
-)
-@click.pass_context
-def main(ctx, config_path):
+def main():
     """Goodness-of-fit testing for two-component Weibull mixtures."""
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                defaults = json.load(fh)
-            except ValueError as exc:
-                raise click.UsageError(f"--config {config_path}: not valid JSON: {exc}") from None
-        if not isinstance(defaults, dict) or not all(
-            isinstance(v, dict) for v in defaults.values()
-        ):
-            raise click.UsageError(
-                f"--config {config_path}: expected a JSON object mapping commands to option objects"
-            )
-        ctx.default_map = defaults
 
 
 def _read_sample(input_path: str) -> Sample:
@@ -230,11 +176,10 @@ def _read_sample(input_path: str) -> Sample:
 @input_option
 @output_option
 @seed_option
-@fit_options
-def cmd_fit(input_path, output, seed, n_starts, tolerance, max_iterations):
+def cmd_fit(input_path, output, seed):
     """Fit the mixture by maximum likelihood and report the parameters."""
     sample = _read_sample(input_path)
-    fit = fit_mle(sample, FitConfig(n_starts, tolerance, max_iterations, seed))
+    fit = fit_mle(sample, FitConfig(seed=seed))
     report = {
         "command": "fit",
         "version": __version__,
@@ -249,9 +194,8 @@ def cmd_fit(input_path, output, seed, n_starts, tolerance, max_iterations):
 @input_option
 @output_option
 @seed_option
-@fit_options
 @grid_option(500)
-def cmd_test(input_path, output, seed, n_starts, tolerance, max_iterations, grid_size):
+def cmd_test(input_path, output, seed, grid_size):
     """Run the full goodness-of-fit test on a data file.
 
     Fits the mixture, transforms the sample through the fitted CDF,
@@ -260,8 +204,7 @@ def cmd_test(input_path, output, seed, n_starts, tolerance, max_iterations, grid
     p-value.
     """
     sample = _read_sample(input_path)
-    config = FitConfig(n_starts, tolerance, max_iterations, seed)
-    outcome = gof_test(sample, config, grid_size)
+    outcome = gof_test(sample, FitConfig(seed=seed), grid_size)
     spectrum = outcome.spectrum
     report = {
         "command": "test",
@@ -286,7 +229,6 @@ def cmd_test(input_path, output, seed, n_starts, tolerance, max_iterations, grid
 @main.command("simulate")
 @output_option
 @seed_option
-@fit_options
 @grid_option(200)
 @click.option("--n-reps", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--sample-size", type=click.IntRange(min=20), default=100, show_default=True)
@@ -304,19 +246,7 @@ def cmd_test(input_path, output, seed, n_starts, tolerance, max_iterations, grid
     show_default=True,
     help="Worker processes; the report does not depend on it.",
 )
-def cmd_simulate(
-    output,
-    seed,
-    n_starts,
-    tolerance,
-    max_iterations,
-    grid_size,
-    n_reps,
-    sample_size,
-    population,
-    theta_text,
-    processes,
-):
+def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta_text, processes):
     """Monte Carlo uniformity study of the approximate p-values."""
     if (population is None) == (theta_text is None):
         raise click.UsageError("provide exactly one of --population and --theta")
@@ -326,13 +256,7 @@ def cmd_simulate(
         spec = benchmark_populations()[population - 1]
     try:
         result = run_study(
-            spec,
-            n_reps,
-            sample_size,
-            seed,
-            grid_size=grid_size,
-            fit_config=FitConfig(n_starts, tolerance, max_iterations),
-            processes=processes,
+            spec, n_reps, sample_size, seed, grid_size=grid_size, processes=processes
         )
     except StudyAborted as exc:
         _fail(EXIT_FIT, "simulate", str(exc))

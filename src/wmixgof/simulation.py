@@ -9,12 +9,12 @@ Anderson-Darling uniformity test to the collected p-values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError, StudyAborted, WmixgofError
+from .errors import DomainError, StudyAborted, WmixgofError
 from .estimation import FitConfig, FitResult, _scipy_openblas_threads, fit_mle
 from .gof_statistic import ad_statistic_uniform, ad_uniformity_pvalue, cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
@@ -140,7 +140,6 @@ def _study_window(
     sample_size: int,
     seed: int,
     grid_size: int,
-    fit_config: FitConfig,
     estimate_parameters: bool,
     first: int,
     count: int,
@@ -160,8 +159,7 @@ def _study_window(
         sample = sample_mixture(population.theta, sample_size, s_sample)
         try:
             if estimate_parameters:
-                config = replace(fit_config, seed=s_fit)
-                outcome = gof_test(sample, config, grid_size)
+                outcome = gof_test(sample, FitConfig(seed=s_fit), grid_size)
                 p_values.append(outcome.p_value)
                 n_spike += outcome.fit.spike
                 max_rounds = max(max_rounds, outcome.n_quantile_rounds)
@@ -182,7 +180,6 @@ def run_study(
     seed: int,
     *,
     grid_size: int = 200,
-    fit_config: FitConfig | None = None,
     estimate_parameters: bool = True,
     first_rep: int = 0,
     processes: int = 1,
@@ -191,7 +188,9 @@ def run_study(
 
     Each replication samples, fits by maximum likelihood, computes the
     statistic, builds the kernel matrix at the fitted parameters and
-    converts the statistic to a p-value. Replications whose fit or kernel
+    converts the statistic to a p-value. The fit runs at ``FitConfig``'s
+    defaults, the setting the acceptance studies calibrate, with only its
+    seed drawn per replication. Replications whose fit or kernel
     stage fails are recorded and skipped; StudyAborted is raised when more
     than 20% fail. With ``estimate_parameters=False`` the known population
     parameters and the closed-form Brownian bridge eigenvalues are used
@@ -226,7 +225,6 @@ def run_study(
         sample_size,
         seed,
         grid_size,
-        fit_config or FitConfig(),
         estimate_parameters,
     )
     if processes == 1:
@@ -253,12 +251,8 @@ def run_study(
     p_arr = np.sort(np.asarray([p for ps in p_lists for p in ps], dtype=float))
     ad_stat = ad_pval = None
     if p_arr.size >= 2:
-        clipped = np.clip(p_arr, _P_CLIP, 1.0 - _P_CLIP)
-        try:
-            ad_stat = ad_statistic_uniform(clipped)
-            ad_pval = ad_uniformity_pvalue(ad_stat)
-        except DegenerateInput:  # cannot happen after clipping, but stay total
-            ad_stat = ad_pval = None
+        ad_stat = ad_statistic_uniform(np.clip(p_arr, _P_CLIP, 1.0 - _P_CLIP))
+        ad_pval = ad_uniformity_pvalue(ad_stat)
     p_arr.setflags(write=False)
     return StudyResult(
         p_values=p_arr,
