@@ -13,9 +13,16 @@ that yields the parameter vector it needs evaluated next. The fitter
 gathers the pending vectors of all unfinished starts into one
 (starts x n) array, computes log-likelihood, score and mean
 responsibility for every row in one pass, and sends each start its row.
-A row's values do not depend on the other rows, and the driver repeats
-``scipy.optimize.minimize(method="L-BFGS-B")`` step for step, so every
-start takes exactly the iterates it would take on its own.
+The pass starts from log x, taken once per fit, and costs four
+transcendentals per point and row: (x/b)^a for each component, then one
+exp and one log1p. A row's values do not depend on the other rows, and
+the lockstep loop repeats ``scipy.optimize.minimize(method="L-BFGS-B")``
+step for step, so every start takes exactly the iterates it would take on
+its own.
+
+The special functions the fitter needs beside ``setulb`` come from
+``math``: the logistic function and its inverse for the mixing proportion,
+and ``lgamma`` for the moment starts.
 """
 
 from __future__ import annotations
@@ -58,22 +65,25 @@ def _scipy_extension(package: str, module: str):
 
 class _ScipyFunctions(NamedTuple):
     setulb: object
-    expit: object
-    gammaln: object
-    logit: object
 
 
 @cache
 def _scipy() -> _ScipyFunctions:
-    """The fitter's scipy routines, loaded on the first fit.
+    """The fitter's scipy routine, loaded on the first fit.
 
     A study with known parameters, ``eigen-check`` and a caller that never
     fits then load neither scipy nor its second OpenBLAS.
     """
-    special = _scipy_extension("special", "_special_ufuncs")
-    return _ScipyFunctions(
-        _scipy_extension("optimize", "_lbfgsb").setulb, special.expit, special.gammaln, special.logit
-    )
+    return _ScipyFunctions(_scipy_extension("optimize", "_lbfgsb").setulb)
+
+
+def _expit(t: float) -> float:
+    """Logistic function; equal to scipy.special.expit bit for bit on the logit box."""
+    return 1.0 / (1.0 + math.exp(-t))
+
+
+def _logit(p: float) -> float:
+    return math.log(p / (1.0 - p))
 
 
 # Mixing proportions this close to {0, 1} disqualify a start: the
@@ -152,77 +162,121 @@ class FitResult:
         return max(self.theta_hat.alpha1, self.theta_hat.alpha2) > _SPIKE_SHAPE
 
 
-def _evaluate(x: np.ndarray, thetas: np.ndarray) -> tuple:
+def _evaluate(logx: np.ndarray, thetas: np.ndarray) -> tuple:
     """Log-likelihood, score and mean responsibility at each parameter row.
 
-    ``thetas`` is a (k, 5) array of rows (a1, a2, b1, b2, p). Returns the
-    total log-likelihood per row (-inf where it is not finite), the (k, 5)
-    gradient of the total log-likelihood with respect to (a1, a2, b1, b2, p),
-    and the mean first-component responsibility per row. Both components
-    pass each elementwise step together, as (2, k, n) arrays. Per-row scalar
-    logs are taken with ``math`` and every reduction runs along a contiguous
-    row, so a row's values do not depend on the other rows.
+    ``logx`` is the log of the sample, taken once per fit, and ``thetas`` a
+    (k, 5) array of rows (a1, a2, b1, b2, p). Returns the total
+    log-likelihood per row (-inf where it is not finite), the (k, 5) gradient
+    of the total log-likelihood with respect to (a1, a2, b1, b2, p), and the
+    mean first-component responsibility per row.
+
+    A point costs four transcendentals. With lx = log x - log b and
+    u = exp(a lx) per component, the terms t_c = log p_c + log f_c give
+    e = exp(-|t1 - t2|) and log f = max(t1, t2) + log1p(e). The weights
+    p_c f_c / f are 1/(1 + e) and e/(1 + e), by the sign of t1 - t2, and the
+    ratios f_c / f are w_c / p_c, so the p score is one weighted sum of the
+    weights (rows with p in {0, 1} sum exp(log f_c - log f) instead). Where
+    t1 and t2 are both -inf the weights are nan: such a point counts 0 in
+    the score and 0.5 in the responsibility. The shape and scale scores sum
+    the weights times 1/a + lx (1 - u) and (a/b)(u - 1).
+
+    Both components pass each elementwise step together, as (2, k, n)
+    arrays. Per-row scalars are taken with ``math`` and every reduction runs
+    along a contiguous row, so a row's values do not depend on the other
+    rows. These arrays are planes of one (10, k, n) block, allocated once
+    per call: with a fresh array per step, the allocator returned the pages
+    and faulted them in again on every round, which cost about a third of a
+    fit at n=1000.
     """
-    k, n = thetas.shape[0], x.size
-    coef = np.array(
-        [
+    k, n = thetas.shape[0], logx.size
+    columns, boundary = [], []
+    for i, (a1, a2, b1, b2, p) in enumerate(thetas.tolist()):
+        if 0.0 < p < 1.0:
+            lp, lq, sp, sq = math.log(p), math.log1p(-p), 1.0 / p, -1.0 / (1.0 - p)
+        else:
+            boundary.append(i)
+            lp = math.log(p) if p > 0.0 else -math.inf
+            lq = math.log1p(-p) if p < 1.0 else -math.inf
+            sp = sq = 0.0
+        columns.append(
             (
-                math.log(ra1 / rb1),
-                math.log(ra2 / rb2),
-                math.log(rp) if rp > 0.0 else -math.inf,
-                math.log1p(-rp) if rp < 1.0 else -math.inf,
+                math.log(b1), math.log(b2), a1, a2, a1 - 1.0, a2 - 1.0,
+                math.log(a1 / b1), math.log(a2 / b2), lp, lq,
+                1.0 / a1, 1.0 / a2, -a1 / b1, -a2 / b2, sp, sq,
             )
-            for ra1, ra2, rb1, rb2, rp in thetas.tolist()
-        ]
-    ).T[:, :, None]
-    a, b = thetas.T[:2, :, None], thetas.T[2:4, :, None]
-    # terms: log p + log f1, log(1-p) + log f2, log f1, log f2. rows: the
-    # score terms of a1, a2, b1, b2, p, then log f and the responsibility.
-    terms = np.empty((2, 2, k, n))
-    rows = np.empty((7, k, n))
+        )
+    # per component and row: log b, a, a - 1, log(a/b), log p_c, 1/a, -a/b
+    # and the p-score coefficient +-1/p_c
+    log_b, a, a_1, log_ab, log_p, inv_a, neg_ab, p_coef = np.array(columns).T.reshape(8, 2, k, 1)
+    planes = np.empty((10, k, n))
+    lx, u, t, w = planes[0:2], planes[2:4], planes[4:6], planes[6:8]
+    lse, e = planes[8], planes[9]
+    score = np.empty((5, k))
     with np.errstate(over="ignore", invalid="ignore"):
-        lx = np.log(x / b)
-        u = np.exp(a * lx)
-        np.subtract(coef[:2] + (a - 1.0) * lx, u, out=terms[1])
-        np.add(coef[2:], terms[1], out=terms[0])
-        t1, t2 = terms[0]
-        hi = np.maximum(t1, t2)
-        # Where t1 and t2 are both infinite this log f is nan, not the
-        # infinity; every output taken from it comes out the same either way.
-        lse = rows[5]
-        np.add(hi, np.log1p(np.exp(-np.abs(t1 - t2))), out=lse)
-        np.exp(terms - lse, out=terms)  # weights p*f1/f, (1-p)*f2/f; ratios f1/f, f2/f
-        w, r = terms
-        nonfinite = ~np.isfinite(terms)
-        np.copyto(terms, 0.0, where=nonfinite)
-        np.copyto(rows[6], w[0])
-        np.copyto(rows[6], 0.5, where=nonfinite[0, 0])
-        np.multiply(w, 1.0 / a + lx * (1.0 - u), out=rows[:2])
-        np.multiply(w, (a / b) * (u - 1.0), out=rows[2:4])
-        np.subtract(r[0], r[1], out=rows[4])
-        sums = rows.sum(axis=2)
+        np.subtract(logx, log_b, out=lx)
+        np.multiply(a, lx, out=u)
+        np.exp(u, out=u)
+        np.multiply(a_1, lx, out=t)
+        t += log_ab
+        t -= u
+        t += log_p
+        t1, t2 = t
+        first = t1 >= t2
+        np.maximum(t1, t2, out=lse)
+        # min - max is -|t1 - t2| exactly, and nan where both are -inf
+        np.minimum(t1, t2, out=e)
+        e -= lse
+        np.exp(e, out=e)
+        lse += np.log1p(e, out=t1)
+        ll = lse.sum(axis=1)
+        # the weight pair (1/(1 + e), e/(1 + e)), in t's planes
+        np.add(1.0, e, out=t1)
+        np.divide(1.0, t1, out=t1)
+        np.multiply(e, t1, out=t2)
+        np.copyto(w, t[::-1])
+        np.copyto(w, t, where=first)
+        resp = w[0].sum(axis=1)
+        not_finite = ~np.isfinite(ll)
+        if not_finite.any():
+            # nan weights arise only where log f is nan
+            for i in np.flatnonzero(not_finite):
+                nan = np.isnan(w[0, i])
+                resp[i] = np.where(nan, 0.5, w[0, i]).sum()
+                w[:, i, nan] = 0.0
+            ll[not_finite] = -math.inf
+        np.einsum("ckn,ck->k", w, p_coef[..., 0], out=score[4])
+        for i in boundary:
+            r = np.exp(a_1[:, i] * lx[:, i] + log_ab[:, i] - u[:, i] - lse[i])
+            r[~np.isfinite(r)] = 0.0
+            score[4, i] = np.subtract(r[0], r[1]).sum()
+        # the score factors 1/a + lx (1 - u) and (a/b)(u - 1), in place
+        np.subtract(1.0, u, out=u)
+        lx *= u
+        lx += inv_a
+        u *= neg_ab
+        sums = score[:4].reshape(2, 2, k)
+        factors = planes[0:4].reshape(2, 2, k, n)
+        np.einsum("ckn,fckn->fck", w, factors, out=sums)
         # Where a density underflows, the weight is exactly 0 while its
-        # factor can be infinite: such rows sum their positive-weight terms.
-        positive = w > 0.0
-        for c, i in zip(*np.nonzero(~positive.all(axis=2))):
-            for j in (c, c + 2):
-                sums[j, i] = rows[j, i, positive[c, i]].sum()
-    ll = sums[5]
-    ll[~np.isfinite(ll)] = -math.inf
-    return ll, sums[:5].T, sums[6] / n
+        # factor can be infinite: such sums count the positive-weight terms.
+        for f, c, i in zip(*np.nonzero(~np.isfinite(sums))):
+            keep = w[c, i] > 0.0
+            sums[f, c, i] = np.einsum("n,n->", w[c, i, keep], factors[f, c, i, keep])
+    return ll, score.T, resp / n
 
 
 def _to_eta(th: np.ndarray) -> np.ndarray:
     eta = np.empty(5)
     eta[:4] = np.log(th[:4])
-    eta[4] = _scipy().logit(min(max(th[4], 1e-6), 1.0 - 1e-6))
+    eta[4] = _logit(min(max(th[4], 1e-6), 1.0 - 1e-6))
     return np.clip(eta, -_BOX5, _BOX5)
 
 
 def _from_eta(eta: np.ndarray) -> np.ndarray:
     th = np.empty(5)
     th[:4] = np.exp(eta[:4])
-    th[4] = float(_scipy().expit(eta[4]))
+    th[4] = _expit(eta[4])
     return th
 
 
@@ -321,7 +375,7 @@ def _fit_start(theta0: np.ndarray, max_iterations: int):
     for _ in range(_EM_CYCLES):
         _, _, resp = yield _from_eta(eta)
         p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
-        eta[4] = float(_scipy().logit(p_new))
+        eta[4] = _logit(p_new)
         th = np.array([0.0, 0.0, 0.0, 0.0, p_new])
         eta[:4], nll = yield from _lbfgsb(
             partial(_nll_eta4, th=th), eta[:4], _BOX4, maxiter=25, ftol=1e-12
@@ -343,6 +397,7 @@ def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> tuple:
     as one batch and sends each start its own row. Returns the (theta, ll)
     of each start, the number of rounds and the number of rows evaluated.
     """
+    logx = np.log(x)
     runs = [_fit_start(theta0, config.max_iterations) for theta0 in starts]
     results = [None] * len(runs)
     n_rounds = n_evaluations = 0
@@ -354,7 +409,7 @@ def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> tuple:
             order = list(pending)
             n_rounds += 1
             n_evaluations += len(order)
-            ll, score, resp = _evaluate(x, np.array([pending[i] for i in order]))
+            ll, score, resp = _evaluate(logx, np.array([pending[i] for i in order]))
             for i, ll_i, score_i, resp_i in zip(order, ll.tolist(), score, resp.tolist()):
                 try:
                     pending[i] = runs[i].send((ll_i, score_i, resp_i))
@@ -436,7 +491,7 @@ def _moment_weibull(x: np.ndarray) -> tuple:
         alpha = 20.0
     else:
         alpha = float(np.clip((s / m) ** -1.086, 0.15, 60.0))
-    beta = m / math.exp(_scipy().gammaln(1.0 + 1.0 / alpha))
+    beta = m / math.exp(math.lgamma(1.0 + 1.0 / alpha))
     return alpha, beta
 
 
@@ -532,7 +587,7 @@ def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
     for j in range(5):
         rows[2 * j + 1, j] += h[j]
         rows[2 * j + 2, j] -= h[j]
-    score = _evaluate(sample.values, rows)[1]
+    score = _evaluate(np.log(sample.values), rows)[1]
     hess = (score[1::2] - score[2::2]).T / (2.0 * h)
     if not np.all(np.isfinite(hess)):
         raise NonFiniteHessian("a second-derivative entry is not finite")

@@ -41,8 +41,8 @@ __all__ = [
 # Rows of the bridge term filled per step: its temporaries stay at
 # _BRIDGE_ROWS-by-m instead of m-by-m.
 _BRIDGE_ROWS = 64
-# LAPACKE's column-major layout: the kernel matrix is symmetric bit for bit,
-# so its C-ordered buffer is already that layout and is not transposed.
+# LAPACKE's column-major layout: the C-ordered buffer is handed over as is,
+# so the solver sees its transpose, the same symmetric matrix.
 _LAPACK_COL_MAJOR = 102
 
 
@@ -83,14 +83,10 @@ class KernelMatrix:
     def entries(self) -> np.ndarray:
         """The m-by-m kernel matrix, newly allocated (8 m^2 bytes) on every access.
 
-        R'R is numpy's symmetric rank-k product, then negated and topped up
-        with the bridge in place, so the matrix is symmetric bit for bit.
+        R'R is numpy's symmetric rank-k product, subtracted in place from
+        the bridge, so the matrix is symmetric bit for bit.
         """
-        r = self.factor
-        q = r.T @ r
-        np.negative(q, out=q)
-        _add_bridge(q, grid_points(self.m))
-        return q
+        return _kernel_matrix(self, upper=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,19 +154,27 @@ def build_q_matrix(
     return KernelMatrix(m=m, factor=r, n_quantile_rounds=n_rounds)
 
 
-def _add_bridge(q: np.ndarray, s: np.ndarray) -> None:
-    """Add (min(s_i, s_j) - s_i * s_j) / (m + 1) to q, a block of rows at a time.
+def _kernel_matrix(q: KernelMatrix, upper: bool) -> np.ndarray:
+    """The m-by-m kernel matrix, whole or with its upper triangle alone filled.
 
-    Each entry comes from a commutative min and product, so the term is
-    symmetric bit for bit.
+    The bridge term (min(s_i, s_j) - s_i * s_j) / (m + 1) is formed a block
+    of rows at a time, from commutative operations, so it is symmetric bit
+    for bit, and R'R is subtracted from it in place. With ``upper`` each
+    block covers only the columns from its first row on; the entries below
+    the diagonal then keep R'R (the lower triangle of the diagonal blocks
+    excepted) and are not read.
     """
-    m = s.size
+    r, m = q.factor, q.m
+    s = grid_points(m)
+    a = r.T @ r
     for i in range(0, m, _BRIDGE_ROWS):
-        rows = s[i : i + _BRIDGE_ROWS]
-        block = np.minimum.outer(rows, s)
-        block -= np.outer(rows, s)
+        rows, cols = s[i : i + _BRIDGE_ROWS], s[i if upper else 0 :]
+        block = np.minimum.outer(rows, cols)
+        block -= np.outer(rows, cols)
         block /= m + 1.0
-        q[i : i + _BRIDGE_ROWS] += block
+        target = a[i : i + _BRIDGE_ROWS, m - cols.size :]
+        np.subtract(block, target, out=target)
+    return a
 
 
 def brownian_bridge_q(m: int) -> KernelMatrix:
@@ -210,19 +214,22 @@ def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectr
     """All eigenvalues of the kernel matrix plus the retained head.
 
     The m-by-m matrix is built once, and the eigensolver (LAPACK's dsyevd,
-    eigenvalues only) overwrites it in place. Positive eigenvalues are kept
+    eigenvalues only) overwrites it in place. Only the triangle dsyevd reads
+    is filled: the upper one of the C-ordered buffer, which is the lower one
+    ('L') in the column-major layout the solver is handed, as it is for the
+    eigvalsh fallback, given the transpose. Positive eigenvalues are kept
     until their cumulative sum reaches a (1 - tail_tolerance) share of the
     total positive mass; the discarded tail contributes at most that share
     to the limiting distribution.
     """
     if not 0.0 <= tail_tolerance < 1.0:
         raise DomainError("tail_tolerance must lie in [0, 1)")
-    # the solver overwrites a; it must be a C-ordered float64 buffer of its own
-    a = np.require(q.entries, dtype=np.float64, requirements=["C", "W", "O"])
+    # the solver overwrites a, a C-ordered float64 buffer of its own
+    a = _kernel_matrix(q, upper=True)
     solver = _dsyevd()
     if solver is None:
         try:
-            lam = np.linalg.eigvalsh(a)
+            lam = np.linalg.eigvalsh(a.T)
         except np.linalg.LinAlgError as exc:
             raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
     else:

@@ -172,8 +172,11 @@ def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
     beta_i * (-log(1-t))**(1/alpha_i) bracket the root at level t. Each
     round evaluates F at every unfinished level, shrinks the bracket to the
     side of the root and takes the Newton step when it lands strictly
-    inside the bracket, else the geometric midpoint: brackets can span
-    tens of decades when a shape is small.
+    inside the bracket and moves the point at most half as far, in log
+    scale, as the round before moved it, which is what the geometric
+    midpoint does each round; else it takes the midpoint. Brackets can span
+    tens of decades when a shape is small, and creeping Newton steps there
+    would take more rounds than bisection alone.
     """
     t = np.asarray(levels, dtype=float)
     if t.ndim != 1 or not np.all((t > 0.0) & (t < 1.0)):
@@ -184,6 +187,9 @@ def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
     q2 = theta.beta2 * w ** (1.0 / theta.alpha2)
     lo, hi = np.minimum(q1, q2), np.maximum(q1, q2)
     x = np.sqrt(lo) * np.sqrt(hi)
+    # log-distance the point moved in the last round; the first Newton step
+    # may go as far as half the initial bracket
+    moved = np.log(hi) - np.log(lo)
     out = np.empty_like(t)
     idx = np.arange(t.size)
     for rounds in range(1, _MAX_QUANTILE_ROUNDS + 1):
@@ -205,9 +211,12 @@ def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
         if not np.any(go):
             out.setflags(write=False)
             return out, rounds
-        idx, lo, hi = idx[go], lo[go], hi[go]
+        idx, lo, hi, x, moved = idx[go], lo[go], hi[go], x[go], moved[go]
         step, mid = step[go], mid[go]
-        x = np.where((lo < step) & (step < hi), step, mid)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = (lo < step) & (step < hi) & (np.abs(np.log(step / x)) <= 0.5 * moved)
+        step = np.where(newton, step, mid)
+        moved, x = np.abs(np.log(step / x)), step
     raise ConvergenceError(
         f"quantile inversion did not converge in {_MAX_QUANTILE_ROUNDS} rounds"
     )

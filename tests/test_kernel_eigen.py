@@ -316,6 +316,24 @@ class TestArrayInversionMatchesScalarLoop:
         assert n_rounds <= mixture_model._MAX_QUANTILE_ROUNDS
         assert np.max(np.abs(mixture_cdf(x, theta) - s)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            (0.734, 24.05, 122.8, 0.479, 0.948),
+            # From a stress corpus with shapes log-uniform on [0.2, 80] and
+            # scales e^U(-6, 6): Newton steps that moved one bracket end at
+            # a time took 53 rounds here, the midpoint alone 35.
+            (34.03, 0.7179, 0.009055, 5.772, 0.1106),
+        ],
+    )
+    def test_no_more_rounds_than_the_midpoint_alone(self, monkeypatch, theta):
+        theta = MixtureParams(*theta)
+        s = grid_points(1000)
+        x, n_rounds = invert_cdf(s, theta)
+        assert np.max(np.abs(mixture_cdf(x, theta) - s)) <= 1e-10
+        monkeypatch.setattr(mixture_model, "_pdf", lambda x, theta: np.full_like(x, np.inf))
+        assert n_rounds <= invert_cdf(s, theta)[1]
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         log_shapes=st.tuples(*[st.floats(math.log(0.2), math.log(80.0))] * 2),
