@@ -28,53 +28,16 @@ and ``lgamma`` for the moment starts.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
+from . import _native
 from .errors import AllStartsFailed, DomainError, NonFiniteHessian, TooFewObservations
 from .mixture_model import MixtureParams, Sample
 
 __all__ = ["FitConfig", "FitResult", "fit_mle", "hessian_at"]
-
-
-def _scipy_extension(package: str, module: str):
-    """Compiled module ``scipy.<package>.<module>``, loaded from its file.
-
-    Importing it by name would run the package's ``__init__``, which pulls in
-    scipy.linalg, scipy.sparse and scipy.fft: about 0.45 s and 37 MB of every
-    fresh interpreter on 2 cores. Raises ImportError naming the directory.
-    """
-    import importlib.machinery
-    import importlib.util
-    import os
-
-    import scipy
-
-    path = os.path.join(os.path.dirname(scipy.__file__), package)
-    spec = importlib.machinery.PathFinder.find_spec(f"scipy.{package}.{module}", [path])
-    if spec is None:
-        raise ImportError(f"scipy has no compiled module {module!r} in {path}")
-    extension = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(extension)
-    return extension
-
-
-class _ScipyFunctions(NamedTuple):
-    setulb: object
-
-
-@cache
-def _scipy() -> _ScipyFunctions:
-    """The fitter's scipy routine, loaded on the first fit.
-
-    A study with known parameters, ``eigen-check`` and a caller that never
-    fits then load neither scipy nor its second OpenBLAS.
-    """
-    return _ScipyFunctions(_scipy_extension("optimize", "_lbfgsb").setulb)
 
 
 def _expit(t: float) -> float:
@@ -166,20 +129,21 @@ def _evaluate(logx: np.ndarray, thetas: np.ndarray) -> tuple:
     """Log-likelihood, score and mean responsibility at each parameter row.
 
     ``logx`` is the log of the sample, taken once per fit, and ``thetas`` a
-    (k, 5) array of rows (a1, a2, b1, b2, p). Returns the total
-    log-likelihood per row (-inf where it is not finite), the (k, 5) gradient
-    of the total log-likelihood with respect to (a1, a2, b1, b2, p), and the
-    mean first-component responsibility per row.
+    (k, 5) array of rows (a1, a2, b1, b2, p) with positive shapes and scales
+    and p in (0, 1): the fitter's p is a logistic of a clipped logit, and
+    ``_score_and_hessian`` rejects any other. Returns the total
+    log-likelihood per row (-inf where it is not finite), the (k, 5)
+    gradient of the total log-likelihood with respect to (a1, a2, b1, b2,
+    p), and the mean first-component responsibility per row.
 
     A point costs four transcendentals. With lx = log x - log b and
     u = exp(a lx) per component, the terms t_c = log p_c + log f_c give
     e = exp(-|t1 - t2|) and log f = max(t1, t2) + log1p(e). The weights
     p_c f_c / f are 1/(1 + e) and e/(1 + e), by the sign of t1 - t2, and the
     ratios f_c / f are w_c / p_c, so the p score is one weighted sum of the
-    weights (rows with p in {0, 1} sum exp(log f_c - log f) instead). Where
-    t1 and t2 are both -inf the weights are nan: such a point counts 0 in
-    the score and 0.5 in the responsibility. The shape and scale scores sum
-    the weights times 1/a + lx (1 - u) and (a/b)(u - 1).
+    weights. Where t1 and t2 are both -inf the weights are nan: such a point
+    counts 0 in the score and 0.5 in the responsibility. The shape and scale
+    scores sum the weights times 1/a + lx (1 - u) and (a/b)(u - 1).
 
     Both components pass each elementwise step together, as (2, k, n)
     arrays. Per-row scalars are taken with ``math`` and every reduction runs
@@ -190,22 +154,14 @@ def _evaluate(logx: np.ndarray, thetas: np.ndarray) -> tuple:
     fit at n=1000.
     """
     k, n = thetas.shape[0], logx.size
-    columns, boundary = [], []
-    for i, (a1, a2, b1, b2, p) in enumerate(thetas.tolist()):
-        if 0.0 < p < 1.0:
-            lp, lq, sp, sq = math.log(p), math.log1p(-p), 1.0 / p, -1.0 / (1.0 - p)
-        else:
-            boundary.append(i)
-            lp = math.log(p) if p > 0.0 else -math.inf
-            lq = math.log1p(-p) if p < 1.0 else -math.inf
-            sp = sq = 0.0
-        columns.append(
-            (
-                math.log(b1), math.log(b2), a1, a2, a1 - 1.0, a2 - 1.0,
-                math.log(a1 / b1), math.log(a2 / b2), lp, lq,
-                1.0 / a1, 1.0 / a2, -a1 / b1, -a2 / b2, sp, sq,
-            )
+    columns = [
+        (
+            math.log(b1), math.log(b2), a1, a2, a1 - 1.0, a2 - 1.0,
+            math.log(a1 / b1), math.log(a2 / b2), math.log(p), math.log1p(-p),
+            1.0 / a1, 1.0 / a2, -a1 / b1, -a2 / b2, 1.0 / p, -1.0 / (1.0 - p),
         )
+        for a1, a2, b1, b2, p in thetas.tolist()
+    ]
     # per component and row: log b, a, a - 1, log(a/b), log p_c, 1/a, -a/b
     # and the p-score coefficient +-1/p_c
     log_b, a, a_1, log_ab, log_p, inv_a, neg_ab, p_coef = np.array(columns).T.reshape(8, 2, k, 1)
@@ -246,10 +202,6 @@ def _evaluate(logx: np.ndarray, thetas: np.ndarray) -> tuple:
                 w[:, i, nan] = 0.0
             ll[not_finite] = -math.inf
         np.einsum("ckn,ck->k", w, p_coef[..., 0], out=score[4])
-        for i in boundary:
-            r = np.exp(a_1[:, i] * lx[:, i] + log_ab[:, i] - u[:, i] - lse[i])
-            r[~np.isfinite(r)] = 0.0
-            score[4, i] = np.subtract(r[0], r[1]).sum()
         # the score factors 1/a + lx (1 - u) and (a/b)(u - 1), in place
         np.subtract(1.0, u, out=u)
         lx *= u
@@ -319,7 +271,7 @@ def _lbfgsb(
     ``maxiter``. Each evaluation is delegated to the generator
     ``objective(x)``. Returns (x, f) as minimize reports them.
     """
-    setulb = _scipy().setulb
+    setulb = _native.setulb()
     n = x0.size
     m = _LBFGSB_M
     lower, upper = -box, box
@@ -419,70 +371,6 @@ def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> tuple:
     return results, n_rounds, n_evaluations
 
 
-@contextmanager
-def _one_scipy_blas_thread():
-    """Hold scipy's bundled OpenBLAS at one thread, then restore its count.
-
-    ``setulb`` calls BLAS on vectors of four or five entries, yet scipy's
-    OpenBLAS hands them to its thread pool, and the pool's threads go on
-    spinning after the fit and slow whatever runs next. The iterates do
-    not depend on the thread count. Where scipy has no bundled OpenBLAS
-    this does nothing.
-    """
-    threads = _scipy_openblas_threads()
-    if threads is None:
-        yield
-        return
-    get_threads, set_threads = threads
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
-@cache
-def _bundled_openblas(package: str):
-    """The scipy-openblas library bundled with ``package`` (ctypes.CDLL), or None.
-
-    numpy and scipy wheels each bundle their own scipy-openblas build in
-    ``<package>.libs``; numpy's is the 64-bit-integer build, whose functions
-    carry a ``64_`` suffix.
-    """
-    import ctypes
-    import importlib
-    import os
-
-    root = os.path.dirname(importlib.import_module(package).__file__)
-    libs = os.path.join(root, os.pardir, f"{package}.libs")
-    try:
-        names = [n for n in os.listdir(libs) if n.startswith("libscipy_openblas")]
-    except OSError:
-        return None
-    if len(names) != 1:
-        return None
-    return ctypes.CDLL(os.path.join(libs, names[0]))
-
-
-@cache
-def _scipy_openblas_threads(package: str = "scipy"):
-    """(get, set) thread-count functions of the OpenBLAS bundled with ``package``, or None."""
-    import ctypes
-
-    lib = _bundled_openblas(package)
-    if lib is None:
-        return None
-    for suffix in ("", "64_"):
-        get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-        if get_threads and set_threads:
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get_threads, set_threads
-    return None
-
-
 def _moment_weibull(x: np.ndarray) -> tuple:
     """Rough single-Weibull shape/scale from the first two moments."""
     m = float(np.mean(x))
@@ -530,7 +418,11 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     starts = _starting_points(x, config)
     admissible = []
     n_boundary = 0
-    with _one_scipy_blas_thread():
+    # setulb calls BLAS on vectors of four or five entries, yet scipy's
+    # OpenBLAS hands them to its thread pool, whose threads go on spinning
+    # after the fit and slow whatever runs next. The iterates do not depend
+    # on the thread count.
+    with _native.one_blas_thread("scipy"):
         optima, n_rounds, n_evaluations = _optimize_starts(x, starts, config)
     for th, ll in optima:
         if not math.isfinite(ll):

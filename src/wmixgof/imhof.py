@@ -80,8 +80,8 @@ def imhof_tail(dist: WeightedChiSquare, x: float, tol: float = 1e-6) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError("x must be strictly positive and finite")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
 
     # The tail probability is invariant under joint rescaling of the
     # weights and x; normalizing by the largest weight keeps the truncation

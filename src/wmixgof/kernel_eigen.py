@@ -17,15 +17,13 @@ eigenproblem.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
+from . import _native
 from .errors import DomainError, EigenSolverFailure, NonFiniteKernel, SingularInformation
-from .estimation import _bundled_openblas
 from .mixture_model import MixtureParams, cdf_gradients, invert_cdf
 
 __all__ = [
@@ -41,9 +39,6 @@ __all__ = [
 # Rows of the bridge term filled per step: its temporaries stay at
 # _BRIDGE_ROWS-by-m instead of m-by-m.
 _BRIDGE_ROWS = 64
-# LAPACKE's column-major layout: the C-ordered buffer is handed over as is,
-# so the solver sees its transpose, the same symmetric matrix.
-_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,32 +179,6 @@ def brownian_bridge_q(m: int) -> KernelMatrix:
     return KernelMatrix(m=m, factor=np.zeros((0, m)))
 
 
-@cache
-def _dsyevd():
-    """LAPACKE_dsyevd of the OpenBLAS bundled with numpy, or None where it has none.
-
-    It is the routine ``np.linalg.eigvalsh`` calls, in the same library, so
-    it gives the same eigenvalues bit for bit; called directly it works in
-    place on a buffer the caller owns instead of on a copy.
-    """
-    solver = getattr(_bundled_openblas("numpy"), "scipy_LAPACKE_dsyevd64_", None)
-    if solver is None:
-        return None
-    # int matrix_layout, char jobz, char uplo, int64 n, double *a, int64 lda,
-    # double *w -> int64 info
-    solver.argtypes = [
-        ctypes.c_int,
-        ctypes.c_char,
-        ctypes.c_char,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-    ]
-    solver.restype = ctypes.c_int64
-    return solver
-
-
 def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectrum:
     """All eigenvalues of the kernel matrix plus the retained head.
 
@@ -226,7 +195,7 @@ def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectr
         raise DomainError("tail_tolerance must lie in [0, 1)")
     # the solver overwrites a, a C-ordered float64 buffer of its own
     a = _kernel_matrix(q, upper=True)
-    solver = _dsyevd()
+    solver = _native.dsyevd()
     if solver is None:
         try:
             lam = np.linalg.eigvalsh(a.T)
@@ -234,7 +203,9 @@ def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectr
             raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
     else:
         lam = np.empty(q.m)
-        info = solver(_LAPACK_COL_MAJOR, b"N", b"L", q.m, a.ctypes.data, q.m, lam.ctypes.data)
+        info = solver(
+            _native.LAPACK_COL_MAJOR, b"N", b"L", q.m, a.ctypes.data, q.m, lam.ctypes.data
+        )
         if info != 0:
             raise EigenSolverFailure(f"eigendecomposition failed: dsyevd info {info}")
     return _spectrum(lam, tail_tolerance)

@@ -14,8 +14,9 @@ from functools import partial
 
 import numpy as np
 
+from . import _native
 from .errors import DomainError, StudyAborted, WmixgofError
-from .estimation import FitConfig, FitResult, _scipy_openblas_threads, fit_mle
+from .estimation import FitConfig, FitResult, fit_mle
 from .gof_statistic import ad_statistic_uniform, ad_uniformity_pvalue, cvm_statistic, pit
 from .imhof import WeightedChiSquare, imhof_tail
 from .kernel_eigen import EigenSpectrum, build_q_matrix, eigen_spectrum, simple_hypothesis_lambdas
@@ -90,19 +91,6 @@ def _replication_seeds(seed: int, rep: int) -> tuple:
     return int(s_sample), int(s_fit)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run numpy's bundled OpenBLAS on one thread.
-
-    The windows already keep every core busy; OpenBLAS pools of one thread
-    per core in each worker would contend for the same cores. scipy's
-    OpenBLAS is left alone: ``fit_mle`` holds it at one thread while it
-    runs, and a worker that never fits never loads scipy.
-    """
-    threads = _scipy_openblas_threads("numpy")
-    if threads is not None:
-        threads[1](1)
-
-
 @dataclass(frozen=True, eq=False)
 class GofOutcome:
     """What one goodness-of-fit test produced, from the fit to the p-value.
@@ -147,29 +135,33 @@ def _study_window(
     """Replications [first, first + count): p-values, failures, spike fits, most quantile rounds.
 
     A replication fails when its fit or kernel stage raises; any other
-    error propagates.
+    error propagates. The window runs numpy's bundled OpenBLAS on one
+    thread, so its eigenvalues, whose last bits move with the thread count
+    from about ``grid_size=300``, do not depend on where it runs; the count
+    is restored afterwards.
     """
     known_lambdas = None
     if not estimate_parameters:
         known_lambdas = WeightedChiSquare(simple_hypothesis_lambdas(_N_SIMPLE_LAMBDAS))
     p_values = []
     n_failed = n_spike = max_rounds = 0
-    for rep in range(first, first + count):
-        s_sample, s_fit = _replication_seeds(seed, rep)
-        sample = sample_mixture(population.theta, sample_size, s_sample)
-        try:
-            if estimate_parameters:
-                outcome = gof_test(sample, FitConfig(seed=s_fit), grid_size)
-                p_values.append(outcome.p_value)
-                n_spike += outcome.fit.spike
-                max_rounds = max(max_rounds, outcome.n_quantile_rounds)
-            else:
-                w2 = cvm_statistic(pit(sample, population.theta))
-                p_values.append(imhof_tail(known_lambdas, w2))
-        except WmixgofError as exc:
-            if exc.stage is None:
-                raise
-            n_failed += 1
+    with _native.one_blas_thread("numpy"):
+        for rep in range(first, first + count):
+            s_sample, s_fit = _replication_seeds(seed, rep)
+            sample = sample_mixture(population.theta, sample_size, s_sample)
+            try:
+                if estimate_parameters:
+                    outcome = gof_test(sample, FitConfig(seed=s_fit), grid_size)
+                    p_values.append(outcome.p_value)
+                    n_spike += outcome.fit.spike
+                    max_rounds = max(max_rounds, outcome.n_quantile_rounds)
+                else:
+                    w2 = cvm_statistic(pit(sample, population.theta))
+                    p_values.append(imhof_tail(known_lambdas, w2))
+            except WmixgofError as exc:
+                if exc.stage is None:
+                    raise
+                n_failed += 1
     return p_values, n_failed, n_spike, max_rounds
 
 
@@ -200,13 +192,13 @@ def run_study(
     Replication seeds are derived from (seed, replication index) alone, so
     the replications [first_rep, first_rep + n_reps) can be split into
     windows: with ``processes > 1`` each window runs in its own spawned
-    worker, and the pooled result equals that of one sequential run bit for
-    bit. Each worker runs numpy's bundled OpenBLAS on one thread (``fit_mle``
-    holds scipy's at one thread itself, so a known-parameter worker never
-    loads scipy); from about ``grid_size=300`` the eigenvalues move in their
-    last bits with the BLAS thread count, so there the sequential run to
-    compare with is one made on one BLAS thread. ``processes=1`` runs in this
-    process and starts no pool; a script that asks for more needs the usual
+    worker. Every window, in a worker or in this process, runs numpy's
+    bundled OpenBLAS on one thread and restores its count afterwards
+    (``fit_mle`` does the same with scipy's, so a known-parameter study
+    never loads scipy). The p-values therefore depend on neither the
+    process count nor the BLAS thread count: the pooled result equals that
+    of one sequential run bit for bit. ``processes=1`` runs in this process
+    and starts no pool; a script that asks for more needs the usual
     ``if __name__ == "__main__":`` guard.
     """
     if n_reps < 1:
@@ -237,9 +229,7 @@ def run_study(
         firsts = range(first_rep, first_rep + n_reps, per)
         counts = [min(per, first_rep + n_reps - f) for f in firsts]
         context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=len(firsts), mp_context=context, initializer=_one_blas_thread
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=len(firsts), mp_context=context) as pool:
             parts = list(pool.map(window, firsts, counts))
     p_lists, failed, spikes, rounds = zip(*parts)
     n_failed = sum(failed)

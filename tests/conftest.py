@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wmixgof
 from wmixgof import FitConfig, benchmark_populations, fit_mle, sample_mixture
 
 POPULATIONS = benchmark_populations()
@@ -44,3 +49,24 @@ def fitted_pop3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _fresh_interpreter_output(script, **environ):
+    """Standard output of ``script`` in a fresh interpreter with ``src`` on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wmixgof.__file__)))
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return proc.stdout
+
+
+def _outputs_under_blas_threads(script):
+    """Standard output of ``script`` run with OPENBLAS_NUM_THREADS=1 and =2."""
+    return [_fresh_interpreter_output(script, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]

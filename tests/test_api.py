@@ -105,3 +105,26 @@ def test_traced_benchmark_chain_reproduces_the_untraced_op(monkeypatch):
     cli_workload.fitted_chain(rec, sample, config, Tracer())
     outcome = wmixgof.gof_test(sample, config, cli_workload.grid_size)
     assert rec.p_value == outcome.p_value
+
+
+def test_native_code_is_reached_through_one_module():
+    # ctypes bindings and scipy stay behind wmixgof._native, and no module
+    # reaches into the fitter's private names.
+    package = os.path.dirname(os.path.abspath(wmixgof.__file__))
+    native, private = set(), []
+    for filename in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [] if node.level else [node.module]
+                if (node.level, node.module) in ((1, "estimation"), (0, "wmixgof.estimation")):
+                    private += [a.name for a in node.names if a.name.startswith("_")]
+            else:
+                continue
+            if any(module.split(".")[0] in ("ctypes", "scipy") for module in modules):
+                native.add(filename)
+    assert native == {"_native.py"}
+    assert private == []

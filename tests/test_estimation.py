@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import subprocess
 import sys
 
 import numpy as np
@@ -21,9 +20,10 @@ from wmixgof import (
     hessian_at,
     sample_mixture,
 )
-import wmixgof
+import wmixgof._native as _native
 import wmixgof.estimation as estimation
 from wmixgof.mixture_model import invert_cdf, mixture_cdf, mixture_pdf
+from conftest import _fresh_interpreter_output, _outputs_under_blas_threads
 
 
 def log_likelihood(theta, sample):
@@ -69,8 +69,10 @@ class TestLogLikelihood:
         assert log_likelihood(theta, Sample([1.0])) == pytest.approx(-1.0, rel=1e-12)
 
     def test_single_weibull_at_scale(self):
+        # equal components are one Weibull for any p; the likelihood takes
+        # p in (0, 1) only, where the fitter keeps it
         beta = 2.5
-        theta = MixtureParams(1, 1, beta, beta, 1.0)
+        theta = MixtureParams(1, 1, beta, beta, 0.5)
         assert log_likelihood(theta, Sample([beta])) == pytest.approx(
             math.log(1 / beta) - 1, rel=1e-12
         )
@@ -400,7 +402,10 @@ class TestLockstepMatchesPerStartMinimize:
         sample, fit = fitted_pop2
         x = sample.values
         rows = fit.theta_hat.as_array() * np.exp(np.linspace(-0.4, 0.4, 35).reshape(7, 5))
+        # p in (0, 1) is _evaluate's contract; 1e-6 and 1 - 1e-6 are the
+        # ends of the fitter's clip of p
         rows[:, 4] = np.linspace(0.0, 1.0, 7)
+        rows[[0, 6], 4] = (1e-6, 1.0 - 1e-6)
         # A very large shape makes one component's weight exactly 0 at some
         # points but not at others, through an underflowing density (50) or
         # an overflowing (x/b)**a (2000).
@@ -426,7 +431,7 @@ class TestLockstepMatchesPerStartMinimize:
             assert ll[i] == ll_i
             assert score[i].tobytes() == score_i.tobytes()
             assert resp[i] == resp_i
-        # The old 1-D arithmetic, as an oracle on every row, the p in {0, 1},
+        # The old 1-D arithmetic, as an oracle on every row, the extreme p,
         # spiky and overflowing ones included: log(x/b) per row and ten
         # transcendentals per point move each value by rounding alone.
         # Measured: log-likelihood within 6e-16 relative; score within 5e-12
@@ -493,27 +498,6 @@ for pop_index, seed in ((0, 41), (2, 42), (4, 43)):
 """
 
 
-def _fresh_interpreter_output(script, **environ):
-    """Standard output of ``script`` in a fresh interpreter with ``src`` on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wmixgof.__file__)))
-    env = dict(os.environ, **environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    return proc.stdout
-
-
-def _outputs_under_blas_threads(script):
-    """Standard output of ``script`` run with OPENBLAS_NUM_THREADS=1 and =2."""
-    return [_fresh_interpreter_output(script, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
-
-
 def test_fits_identical_across_blas_thread_counts():
     outputs = _outputs_under_blas_threads(_FIT_SCRIPT)
     assert len(outputs[0].splitlines()) == 3
@@ -559,7 +543,7 @@ def test_kernel_build_and_solve_hold_one_matrix():
 
 
 def test_lbfgsb_runs_on_one_scipy_blas_thread(monkeypatch, fitted_pop1):
-    threads = estimation._scipy_openblas_threads()
+    threads = _native.blas_threads("scipy")
     if threads is None:
         pytest.skip("scipy has no bundled OpenBLAS here")
     get_threads, set_threads = threads
@@ -647,4 +631,4 @@ def test_math_special_functions_match_scipy_special(name, ours, x):
 def test_missing_scipy_extension_names_its_path():
     path = os.path.join(os.path.dirname(scipy.__file__), "optimize")
     with pytest.raises(ImportError, match=re.escape(path)):
-        estimation._scipy_extension("optimize", "_no_such_module")
+        _native._scipy_extension("optimize", "_no_such_module")

@@ -24,7 +24,7 @@ from wmixgof import (
 )
 from wmixgof.kernel_eigen import brownian_bridge_q
 from wmixgof.simulation import _replication_seeds
-from test_estimation import _outputs_under_blas_threads
+from conftest import _outputs_under_blas_threads
 
 
 def monte_carlo_tail(lambdas, x, n_draws, seed):
@@ -122,6 +122,8 @@ class TestImhofTail:
             imhof_tail(d, -1.0)
         with pytest.raises(DomainError):
             imhof_tail(d, 1.0, tol=0.0)
+        with pytest.raises(DomainError):
+            imhof_tail(d, 1.0, tol=math.inf)
 
     def test_result_inside_unit_interval(self, rng):
         for _ in range(10):

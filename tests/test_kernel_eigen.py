@@ -24,7 +24,7 @@ from wmixgof import (
 )
 from wmixgof.kernel_eigen import KernelMatrix, brownian_bridge_q, grid_points
 from wmixgof.mixture_model import cdf_gradients, invert_cdf, mixture_cdf
-import wmixgof.estimation as estimation
+import wmixgof._native as _native
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
 
@@ -387,9 +387,9 @@ class TestEigenSpectrum:
             kernel_eigen._spectrum(np.array([1.0, np.nan]), tail_tolerance=1e-4)
 
     def test_solver_is_numpys_own_lapack(self):
-        if estimation._bundled_openblas("numpy") is None:
+        if _native.openblas("numpy") is None:
             pytest.skip("numpy bundles no OpenBLAS here")
-        assert kernel_eigen._dsyevd() is not None
+        assert _native.dsyevd() is not None
 
     @pytest.mark.parametrize("m", [200, 1000])
     @pytest.mark.parametrize("pop_index", [1, 4])
@@ -400,7 +400,7 @@ class TestEigenSpectrum:
         q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, m)
         expected = np.linalg.eigvalsh(q.entries)[::-1].tobytes()
         assert eigen_spectrum(q).lambdas.tobytes() == expected
-        monkeypatch.setattr(kernel_eigen, "_dsyevd", lambda: None)
+        monkeypatch.setattr(_native, "dsyevd", lambda: None)
         assert eigen_spectrum(q).lambdas.tobytes() == expected
 
     def test_nystrom_errors_shrink_with_grid(self):

@@ -27,19 +27,15 @@ from wmixgof import (
     run_study,
     sample_mixture,
 )
-import wmixgof.estimation as estimation
+import wmixgof._native as _native
 import wmixgof.imhof as imhof
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.simulation as simulation
+from conftest import _outputs_under_blas_threads
 
 
-def worker_state():
-    """Thread count of numpy's bundled OpenBLAS, and whether scipy is loaded.
-
-    It must not ask for scipy's thread count: that would load scipy.
-    """
-    get_threads, _ = estimation._scipy_openblas_threads("numpy")
-    return get_threads(), "scipy" in sys.modules
+def scipy_loaded():
+    return "scipy" in sys.modules
 
 
 def assert_same_study(a, b):
@@ -308,33 +304,58 @@ class TestRunStudy:
         assert res.p_values.tolist() == [0.719775999670127]
 
     def test_workers_run_blas_on_one_thread(self, populations, monkeypatch):
-        numpy_blas = estimation._scipy_openblas_threads("numpy")
+        numpy_blas = _native.blas_threads("numpy")
         if numpy_blas is None:
             pytest.skip("numpy bundles no OpenBLAS here")
+        get_threads, set_threads = numpy_blas
         seen = []
 
         class Probing(concurrent.futures.ProcessPoolExecutor):
             # probes a worker after the windows have run in the pool
             def __exit__(self, *exc):
-                seen.append(self.submit(worker_state).result(timeout=120))
+                seen.append(self.submit(scipy_loaded).result(timeout=120))
                 return super().__exit__(*exc)
 
         environ = dict(os.environ)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Probing)
-        kwargs = dict(seed=21, grid_size=300)
-        pooled = run_study(populations[4], 2, 60, processes=2, **kwargs)
-        run_study(populations[4], 4, 100, 1, estimate_parameters=False, processes=2)
-        assert [threads for threads, _ in seen] == [1, 1]
+        study = (populations[4], 6, 300, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", Probing)
+            pooled = run_study(*study, grid_size=300, processes=2)
+            run_study(populations[4], 4, 100, 1, estimate_parameters=False, processes=2)
         # a worker that never fits never loads scipy
-        assert seen[1] == (1, False)
-        assert dict(os.environ) == environ
-        # From about m=300 the eigenvalues move in their last bits with the
-        # BLAS thread count, so workers match one process on one thread.
-        get_threads, set_threads = numpy_blas
-        before = get_threads()
-        set_threads(1)
+        assert seen == [True, False]
+        inside = []
+        real_sample = simulation.sample_mixture
+
+        def recording(*args):
+            inside.append(get_threads())
+            return real_sample(*args)
+
+        monkeypatch.setattr(simulation, "sample_mixture", recording)
+        outer = get_threads()
+        set_threads(2)
         try:
-            alone = run_study(populations[4], 2, 60, **kwargs)
+            alone = run_study(*study, grid_size=300)
+            after = get_threads()
         finally:
-            set_threads(before)
+            set_threads(outer)
+        # From about m=300 the eigenvalues move in their last bits with the
+        # BLAS thread count. A window holds numpy's OpenBLAS at one thread
+        # wherever it runs, so the pooled windows equal one process whose
+        # outer count is 2, and that count comes back after the window.
+        assert inside == [1] * 6
+        assert after == 2
         assert_same_study(pooled, alone)
+        assert dict(os.environ) == environ
+
+    def test_study_identical_across_blas_thread_counts(self):
+        # At m=1000 the eigensolve's last bits move with the BLAS thread
+        # count; the study's windows pin it, so its p-values do not move.
+        script = (
+            "from wmixgof import benchmark_populations, run_study\n"
+            "study = run_study(benchmark_populations()[4], 3, 300, 5, grid_size=1000)\n"
+            "print(study.p_values.size, study.p_values.tobytes().hex())\n"
+        )
+        outputs = _outputs_under_blas_threads(script)
+        assert outputs[0].startswith("3 ")
+        assert outputs[0] == outputs[1]
