@@ -10,6 +10,7 @@ on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -45,7 +46,8 @@ def read_observations(path: str) -> np.ndarray:
     values = []
     header_allowed = True
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # utf-8-sig drops a byte-order mark, which would hide the first value
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise DataFileError(f"cannot open {path}: {exc.strerror}") from exc
     with fh:
@@ -89,13 +91,8 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _fit_section(fit: FitResult) -> dict:
-    theta = fit.theta_hat
     return {
-        "alpha1": theta.alpha1,
-        "alpha2": theta.alpha2,
-        "beta1": theta.beta1,
-        "beta2": theta.beta2,
-        "p": theta.p,
+        **dataclasses.asdict(fit.theta_hat),
         "log_likelihood": fit.log_likelihood,
         "converged": fit.converged,
         "n_starts_used": fit.n_starts_used,
@@ -260,19 +257,11 @@ def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta
         )
     except StudyAborted as exc:
         _fail(EXIT_FIT, "simulate", str(exc))
-    theta = spec.theta
     report = {
         "command": "simulate",
         "version": __version__,
         "config": _config_echo(),
-        "population": {
-            "label": spec.label,
-            "alpha1": theta.alpha1,
-            "alpha2": theta.alpha2,
-            "beta1": theta.beta1,
-            "beta2": theta.beta2,
-            "p": theta.p,
-        },
+        "population": {"label": spec.label, **dataclasses.asdict(spec.theta)},
         "n_reps": n_reps,
         "sample_size": sample_size,
         "grid_size": grid_size,

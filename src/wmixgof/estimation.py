@@ -408,13 +408,23 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     Raises TooFewObservations below 20 points and AllStartsFailed when
     every start diverged or finished with the mixing proportion outside
     [0.001, 0.999]. Deterministic for a fixed (sample, config) pair.
+
+    The fit runs on the sample divided by a power of two near its middle
+    observation and is mapped back, so ``hessian`` equals
+    ``hessian_at(theta_hat, sample)`` only where that observation lies
+    between 1/16 and 16 and the power is 1.
     """
     config = config or FitConfig()
     if sample.n < 20:
         raise TooFewObservations(
             f"need at least 20 observations for a five-parameter fit, got {sample.n}"
         )
-    x = sample.values
+    # The family and W2 are closed under scaling, but the box on the log
+    # scales and the Hessian's absolute step floor are not. A power of two
+    # keeps the scaling exact.
+    octets = round(math.log2(sample.values[sample.n // 2]) / 8)
+    scale = math.ldexp(1.0, 8 * min(max(octets, -127), 127))
+    x = sample.values / scale
     starts = _starting_points(x, config)
     admissible = []
     n_boundary = 0
@@ -437,16 +447,24 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
             f"all {len(starts)} starts diverged or ended on the mixing boundary"
         )
     th_best, ll_best = max(admissible, key=lambda item: item[1])
-    theta_hat = MixtureParams.from_array(th_best)
-    grad, hess = _score_and_hessian(theta_hat, sample)
+    grad, hess = _score_and_hessian(MixtureParams.from_array(th_best), x)
     converged = bool(np.max(np.abs(grad)) < config.tolerance * sample.n)
+    # Back to the data's unit: the scales by scale, each density by
+    # 1/scale and each derivative along a scale by 1/scale.
+    theta_hat = MixtureParams.from_array(th_best * [1.0, 1.0, scale, scale, 1.0])
+    ll_shift = sample.n * math.log(scale)
+    unscale = np.array([1.0, 1.0, 1.0 / scale, 1.0 / scale, 1.0])
+    with np.errstate(over="ignore"):
+        hess = unscale[:, None] * hess * unscale
+    if not np.all(np.isfinite(hess)):
+        raise NonFiniteHessian("a second-derivative entry overflows in the data's unit")
     return FitResult(
         theta_hat=theta_hat,
-        log_likelihood=ll_best,
+        log_likelihood=ll_best - ll_shift,
         hessian=hess,
         converged=converged,
         n_starts_used=len(starts),
-        best_of_likelihoods=[ll for _, ll in admissible],
+        best_of_likelihoods=[ll - ll_shift for _, ll in admissible],
         n_boundary_starts=n_boundary,
         boundary_proximity=not (_P_FLAG[0] <= theta_hat.p <= _P_FLAG[1]),
         n_rounds=n_rounds,
@@ -461,11 +479,11 @@ def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
     h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
     stay inside the parameter space), symmetrized.
     """
-    return _score_and_hessian(theta, sample)[1]
+    return _score_and_hessian(theta, sample.values)[1]
 
 
-def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
-    """Score and Hessian at theta, as ``hessian_at`` defines the Hessian.
+def _score_and_hessian(theta: MixtureParams, x: np.ndarray) -> tuple:
+    """Score and Hessian at theta for the observations x, as ``hessian_at`` defines it.
 
     theta and its ten shifted parameter rows are evaluated as one batch.
     """
@@ -479,7 +497,7 @@ def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
     for j in range(5):
         rows[2 * j + 1, j] += h[j]
         rows[2 * j + 2, j] -= h[j]
-    score = _evaluate(np.log(sample.values), rows)[1]
+    score = _evaluate(np.log(x), rows)[1]
     hess = (score[1::2] - score[2::2]).T / (2.0 * h)
     if not np.all(np.isfinite(hess)):
         raise NonFiniteHessian("a second-derivative entry is not finite")

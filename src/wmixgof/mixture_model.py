@@ -116,9 +116,26 @@ def _as_positive(x) -> np.ndarray:
     return arr
 
 
-def _weibull_logpower(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """alpha * log(x / beta), the log of u = (x/beta)**alpha."""
-    return alpha * np.log(x / beta)
+class _Components:
+    """Both Weibull components at the points x, stacked on a leading axis of 2.
+
+    The weights (p, 1 - p), shapes, scales, lx = log(x/beta) and u = exp(alpha * lx).
+    """
+
+    def __init__(self, x: np.ndarray, theta: MixtureParams) -> None:
+        rows = [[theta.p, 1.0 - theta.p], [theta.alpha1, theta.alpha2], [theta.beta1, theta.beta2]]
+        self.w, self.alpha, self.beta = np.reshape(rows, (3, 2) + (1,) * np.ndim(x))
+        with np.errstate(over="ignore", divide="ignore"):
+            self.lx = np.log(x / self.beta)
+            self.u = np.exp(self.alpha * self.lx)
+
+    def cdf(self) -> np.ndarray:
+        return np.sum(self.w * -np.expm1(-self.u), axis=0)
+
+    def pdf(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            f = (self.alpha / self.beta) * np.exp((self.alpha - 1.0) * self.lx - self.u)
+            return np.sum(self.w * f, axis=0)
 
 
 def mixture_pdf(x, theta: MixtureParams):
@@ -126,21 +143,8 @@ def mixture_pdf(x, theta: MixtureParams):
 
     Accepts a scalar or an array; returns a float for scalar input.
     """
-    d = _pdf(_as_positive(x), theta)
+    d = _Components(_as_positive(x), theta).pdf()
     return float(d) if np.ndim(x) == 0 else d
-
-
-def _pdf(x: np.ndarray, theta: MixtureParams) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        return theta.p * _weibull_pdf(x, theta.alpha1, theta.beta1) + (
-            1.0 - theta.p
-        ) * _weibull_pdf(x, theta.alpha2, theta.beta2)
-
-
-def _weibull_pdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    logx = np.log(x / beta)
-    u = np.exp(alpha * logx)
-    return (alpha / beta) * np.exp((alpha - 1.0) * logx - u)
 
 
 def mixture_cdf(x, theta: MixtureParams):
@@ -148,20 +152,8 @@ def mixture_cdf(x, theta: MixtureParams):
 
     Accepts a scalar or an array; returns a float for scalar input.
     """
-    c = _cdf(_as_positive(x), theta)
+    c = _Components(_as_positive(x), theta).cdf()
     return float(c) if np.ndim(x) == 0 else c
-
-
-def _cdf(x: np.ndarray, theta: MixtureParams) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        return theta.p * _weibull_cdf(x, theta.alpha1, theta.beta1) + (
-            1.0 - theta.p
-        ) * _weibull_cdf(x, theta.alpha2, theta.beta2)
-
-
-def _weibull_cdf(x: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    u = np.exp(_weibull_logpower(x, alpha, beta))
-    return -np.expm1(-u)
 
 
 def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
@@ -170,13 +162,13 @@ def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
     Returns the quantiles and the number of solver rounds. Since F is a
     p-weighted average of the component CDFs, the component quantiles
     beta_i * (-log(1-t))**(1/alpha_i) bracket the root at level t. Each
-    round evaluates F at every unfinished level, shrinks the bracket to the
-    side of the root and takes the Newton step when it lands strictly
-    inside the bracket and moves the point at most half as far, in log
-    scale, as the round before moved it, which is what the geometric
-    midpoint does each round; else it takes the midpoint. Brackets can span
-    tens of decades when a shape is small, and creeping Newton steps there
-    would take more rounds than bisection alone.
+    round evaluates F and f at every unfinished level, from one pass over
+    the components, shrinks the bracket to the side of the root and takes
+    the Newton step when it lands strictly inside the bracket and moves the
+    point at most half as far, in log scale, as the round before moved it,
+    which is what the geometric midpoint does each round; else it takes the
+    midpoint. Brackets can span tens of decades when a shape is small, and
+    creeping Newton steps there would take more rounds than bisection alone.
     """
     t = np.asarray(levels, dtype=float)
     if t.ndim != 1 or not np.all((t > 0.0) & (t < 1.0)):
@@ -193,12 +185,13 @@ def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:
     out = np.empty_like(t)
     idx = np.arange(t.size)
     for rounds in range(1, _MAX_QUANTILE_ROUNDS + 1):
-        g = _cdf(x, theta) - t[idx]
+        c = _Components(x, theta)
+        g = c.cdf() - t[idx]
         below = g < 0.0
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = x - g / _pdf(x, theta)
+            step = x - g / c.pdf()
         # sqrt(lo) * sqrt(hi) cannot overflow where lo * hi could
         mid = np.sqrt(lo) * np.sqrt(hi)
         # a bracket at floating-point resolution ends its level
@@ -234,30 +227,17 @@ def cdf_gradients(x, theta: MixtureParams) -> np.ndarray:
     Accepts a scalar or an array of points x > 0; the last axis of the
     result runs over (alpha1, alpha2, beta1, beta2, p).
     """
-    xv = _as_positive(x)
-    da1, db1, e1 = _component_partials(xv, theta.alpha1, theta.beta1)
-    da2, db2, e2 = _component_partials(xv, theta.alpha2, theta.beta2)
-    p, q = theta.p, 1.0 - theta.p
-    return np.stack([p * da1, q * da2, p * db1, q * db2, e2 - e1], axis=-1)
-
-
-def _component_partials(x: np.ndarray, alpha: float, beta: float):
-    """(dF/dalpha, dF/dbeta, survival) for one Weibull component, weight 1.
-
-    Both partials carry u * exp(-u) <= 1/e, formed first: scaling u by
-    log(x/beta) or alpha/beta before exp(-u) overflows for spiky shapes.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logx = np.log(x / beta)
-        u = np.exp(alpha * logx)
-        su = np.exp(-u)
-        usu = u * su
-        # usu is 0, or nan where u overflows, wherever u or exp(-u) is 0;
-        # both partials vanish there
+    c = _Components(_as_positive(x), theta)
+    # Both partials carry u * exp(-u) <= 1/e, formed first: scaling u by
+    # log(x/beta) or alpha/beta before exp(-u) overflows for spiky shapes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        su = np.exp(-c.u)
+        usu = c.u * su
+        # where u or exp(-u) is 0, usu is 0 or nan (u overflowed): both partials vanish
         kept = usu > 0.0
-        da = np.where(kept, usu * logx, 0.0)
-        db = np.where(kept, -(alpha / beta) * usu, 0.0)
-    return da, db, su
+        da = c.w * np.where(kept, usu * c.lx, 0.0)
+        db = c.w * np.where(kept, -(c.alpha / c.beta) * usu, 0.0)
+    return np.stack([*da, *db, su[1] - su[0]], axis=-1)
 
 
 def sample_mixture(theta: MixtureParams, n: int, rng_seed: int) -> Sample:

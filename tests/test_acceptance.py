@@ -5,9 +5,12 @@ values (run pytest with ``-rA`` to see the lines of passing tests too).
 Known limitation, printed rather than hidden: criterion 6 demands
 calibrated p-values at sample size 100 for the poorly separated benchmark
 population 1, and fails there. The measured cause is the kernel's
-information estimate -H/n: with the information taken from Psi itself,
-(m+1) dPsi' dPsi, the same seeded study passes (AD p 0.614). The companion
-check shows calibration is recovered at sample size 300.
+information estimate -H/n. The information taken from Psi itself,
+(m+1) dPsi' dPsi, passes the same seeded study (AD p 0.614) but is no fix:
+it fails population 2 at sample size 1000 (AD p 0.0048, seed 11). The
+planned repair is the expected information at the fit, integrated by an
+accurate rule. The companion check shows calibration is recovered at sample
+size 300.
 """
 
 import time

@@ -40,13 +40,16 @@ def pop5_file(tmp_path):
 class TestReadObservations:
     def test_plain_lines_with_comments(self, tmp_path):
         path = tmp_path / "data.txt"
-        path.write_text("# header comment\n1.5\n2.5  # trailing\n\n3.5\n")
-        assert list(read_observations(str(path))) == [1.5, 2.5, 3.5]
+        # a UTF-8 byte-order mark before the first line is not part of its value
+        for text in ("# header comment\n1.5\n2.5  # trailing\n\n3.5\n", "\ufeff1.5\n2.5\n3.5\n"):
+            path.write_text(text, encoding="utf-8")
+            assert list(read_observations(str(path))) == [1.5, 2.5, 3.5]
 
     def test_single_column_csv_with_header(self, tmp_path):
         path = tmp_path / "data.csv"
-        path.write_text("value\n1.0,\n2.0,\n")
-        assert list(read_observations(str(path))) == [1.0, 2.0]
+        for text in ("value\n1.0,\n2.0,\n", "\ufeffvalue\n1.0,\n2.0,\n"):
+            path.write_text(text, encoding="utf-8")
+            assert list(read_observations(str(path))) == [1.0, 2.0]
 
     def test_nonpositive_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from wmixgof import (
     DomainError,
     FitConfig,
     MixtureParams,
+    NonFiniteHessian,
     Sample,
     TooFewObservations,
     fit_mle,
+    gof_test,
     hessian_at,
     sample_mixture,
 )
@@ -165,6 +168,39 @@ class TestFitMle:
         sample = sample_mixture(populations[0].theta, 50, rng_seed=2)
         with pytest.raises(AllStartsFailed):
             fit_mle(sample, FitConfig(n_starts=3))
+
+    @pytest.mark.parametrize(
+        "factor, tol",
+        [(f, 1e-6) for f in (1e-6, 1e-4, 1e3, 1e5, 1e6, 1e8)] + [(2.0**24, 1e-12), (2.0**-24, 1e-12)],
+    )
+    def test_p_value_does_not_depend_on_the_unit(self, populations, factor, tol):
+        # The family is closed under scaling and W2 does not change under it.
+        # Fitted in the data's unit, the sample times 1e5 gave a spike fit with
+        # p = 6.8e-11, and times 1e6 or 1e8 raised; the log-scale box and the
+        # Hessian's absolute step floor depend on the unit.
+        sample = sample_mixture(populations[4].theta, 300, rng_seed=7)
+        unit = gof_test(sample, FitConfig(seed=1), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = gof_test(Sample(sample.values * factor), FitConfig(seed=1), 200)
+        assert abs(scaled.p_value - unit.p_value) <= tol
+        if math.frexp(factor)[0] == 0.5:
+            # a power-of-two unit leaves the fit exact up to the unit
+            assert scaled.fit.theta_hat.as_array().tobytes() == (
+                unit.fit.theta_hat.as_array() * [1.0, 1.0, factor, factor, 1.0]
+            ).tobytes()
+            assert scaled.fit.log_likelihood == unit.fit.log_likelihood - 300 * math.log(factor)
+            d = np.array([1.0, 1.0, 1.0 / factor, 1.0 / factor, 1.0])
+            assert scaled.fit.hessian.tobytes() == (d[:, None] * unit.fit.hessian * d).tobytes()
+
+    def test_units_at_the_ends_of_the_float_range(self, populations):
+        # A median above 2**1020 rounds to a scale of 2**1024, which is not
+        # a float; at 1e-300 the Hessian overflows once mapped back.
+        values = sample_mixture(populations[4].theta, 300, rng_seed=7).values
+        fit = fit_mle(Sample(values * 5e306), FitConfig(seed=1))
+        assert fit.theta_hat.beta2 > 1e306
+        with pytest.raises(NonFiniteHessian):
+            fit_mle(Sample(values * 1e-300), FitConfig(seed=1))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -285,6 +285,13 @@ def fits_n1000(populations):
     return out
 
 
+def _infinite_density(monkeypatch):
+    """Keep the components' F and make their density +inf everywhere."""
+    monkeypatch.setattr(
+        mixture_model._Components, "pdf", lambda self: np.full_like(self.u[0], np.inf)
+    )
+
+
 class TestArrayInversionMatchesScalarLoop:
     @pytest.mark.parametrize("m", [200, 1000])
     @pytest.mark.parametrize("pop_index", range(5))
@@ -311,7 +318,7 @@ class TestArrayInversionMatchesScalarLoop:
         _, fit = fits_n1000[1]
         theta = fit.theta_hat
         s = grid_points(200)
-        monkeypatch.setattr(mixture_model, "_pdf", lambda x, theta: np.full_like(x, np.inf))
+        _infinite_density(monkeypatch)
         x, n_rounds = invert_cdf(s, theta)
         assert n_rounds <= mixture_model._MAX_QUANTILE_ROUNDS
         assert np.max(np.abs(mixture_cdf(x, theta) - s)) <= 1e-10
@@ -331,7 +338,7 @@ class TestArrayInversionMatchesScalarLoop:
         s = grid_points(1000)
         x, n_rounds = invert_cdf(s, theta)
         assert np.max(np.abs(mixture_cdf(x, theta) - s)) <= 1e-10
-        monkeypatch.setattr(mixture_model, "_pdf", lambda x, theta: np.full_like(x, np.inf))
+        _infinite_density(monkeypatch)
         assert n_rounds <= invert_cdf(s, theta)[1]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
