@@ -184,6 +184,33 @@ def bridge_1000_cases():
     return [(dist, x) for x in (1 / 12000, 1e-3, 0.5)]
 
 
+def fitted_1000_case():
+    """(weights, W2) of a population-5 fit at n=1000 with its retained m=1000 spectrum."""
+    sample = sample_mixture(benchmark_populations()[4].theta, 1000, rng_seed=55)
+    fit = fit_mle(sample, FitConfig(seed=55))
+    q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1000)
+    dist = WeightedChiSquare(eigen_spectrum(q, 1e-4).retained)
+    return dist, cvm_statistic(pit(sample, fit.theta_hat))
+
+
+def counted_passes(monkeypatch):
+    """Patch the integrand so each call appends to the list's last count."""
+    passes = []
+    factory = imhof._integrand_factory
+
+    def counting(lam, x):
+        f = factory(lam, x)
+
+        def integrand(u):
+            passes[-1] += 1
+            return f(u)
+
+        return integrand
+
+    monkeypatch.setattr(imhof, "_integrand_factory", counting)
+    return passes
+
+
 class TestQuadrature:
     def test_matches_quadpack_on_the_chains_spectra(self, fitted_pop1, fitted_pop2, fitted_pop3):
         bridge = WeightedChiSquare(simple_hypothesis_lambdas(100))
@@ -211,36 +238,76 @@ class TestQuadrature:
                 reference = chi2.sf(x / lam[0], 1) if k == 1 else quad_reference(dist, x, tol)
                 assert abs(p - reference) <= tol / 2
 
+    def test_matches_quadpack_where_the_rate_bound_is_tight(self):
+        # |theta'| <= max(x, sum(lambda) - x) / 2 is tightest at
+        # x = sum(lambda) / 2; far above sum(lambda) (p near 1e-8) the phase
+        # turns fastest, and well below lambda_1 the integral is nearly all
+        # in the graded panels at the origin
+        fitted, _ = fitted_1000_case()
+        spectra = [
+            (WeightedChiSquare(simple_hypothesis_lambdas(100)), 3.397),
+            (fitted, 0.1798),
+            (WeightedChiSquare(np.geomspace(1.0, 1e-6, 30)), 35.01),
+        ]
+        for dist, far in spectra:
+            lam = dist.lambdas
+            for x in (float(np.sum(lam)) / 2, far, lam[0] / 100):
+                assert abs(imhof_tail(dist, x) - quad_reference(dist, x)) <= 1e-7
+            assert 5e-9 < imhof_tail(dist, far) < 2e-8
+
+    def test_random_spectra_of_up_to_fifty_weights(self):
+        # 1 to 50 weights, uniform or spanning up to six decades, x at the
+        # extreme and middle quantiles of the sum; one weight is checked
+        # against chi2.sf, whose error includes the truncation share
+        tol = 1e-6
+        rng = np.random.default_rng(20261020)
+        for i in range(10):
+            k = int(rng.integers(1, 51))
+            if i % 2:
+                lam = np.exp(rng.uniform(math.log(1e-6), 0.0, k))
+            else:
+                lam = rng.random(k) * 0.999 + 0.001
+            draws = (rng.chisquare(1, (10_000, k)) * lam).sum(axis=1)
+            dist = WeightedChiSquare(lam)
+            for q in (0.001, 0.5, 0.999):
+                x = float(np.quantile(draws, q))
+                p = imhof_tail(dist, x, tol)
+                if k == 1:
+                    assert abs(p - chi2.sf(x / lam[0], 1)) <= tol / 2
+                else:
+                    assert abs(p - quad_reference(dist, x, tol)) <= 1e-7
+
     def test_few_integrand_passes_on_the_bridge_weights(self, monkeypatch):
-        passes = []
-        factory = imhof._integrand_factory
-
-        def counting(lam, x):
-            f = factory(lam, x)
-
-            def integrand(u):
-                passes[-1] += 1
-                return f(u)
-
-            return integrand
-
-        monkeypatch.setattr(imhof, "_integrand_factory", counting)
+        # the graded panels at the origin leave nothing to bisect there;
+        # from W2 of about 0.17 the first uniform panels still bisect once
+        passes = counted_passes(monkeypatch)
         bridge = WeightedChiSquare(simple_hypothesis_lambdas(100))
-        for x in known_parameter_statistics(100):
+        stats = known_parameter_statistics(100)
+        for x in stats:
             passes.append(0)
             imhof_tail(bridge, x)
-        assert max(passes) <= 6
+        assert max(passes) <= 2
+        assert all(n == 1 for x, n in zip(stats, passes) if x < 0.15)
+
+    def test_few_integrand_passes_on_fitted_spectra(
+        self, monkeypatch, fitted_pop1, fitted_pop2, fitted_pop3
+    ):
+        passes = counted_passes(monkeypatch)
+        cases = fitted_cases([fitted_pop1, fitted_pop2, fitted_pop3])
+        for dist, x in cases:
+            passes.append(0)
+            imhof_tail(dist, x)
+        assert max(passes) <= 2
+        # each fit's own W2 comes first in its three cases
+        assert passes[::3] == [1, 1, 1]
 
     def test_fitted_p_value_identical_across_blas_thread_counts(self, tmp_path):
         # The quadrature reduces with np.sum, never with BLAS. The weights
         # are computed here once, since the eigensolver's last bits move
         # with the thread count.
-        sample = sample_mixture(benchmark_populations()[4].theta, 1000, rng_seed=55)
-        fit = fit_mle(sample, FitConfig(seed=55))
-        q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1000)
+        dist, w2 = fitted_1000_case()
         path = tmp_path / "weights.npy"
-        np.save(path, eigen_spectrum(q, 1e-4).retained)
-        w2 = cvm_statistic(pit(sample, fit.theta_hat))
+        np.save(path, dist.lambdas)
         script = (
             "import numpy as np\n"
             "from wmixgof import WeightedChiSquare, imhof_tail\n"

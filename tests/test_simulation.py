@@ -297,11 +297,12 @@ class TestRunStudy:
         # place of adaptive Simpson in the Imhof integral by 1.9e-11. The
         # likelihood evaluated from log x - log b, with the weights and
         # ratios taken from exp(-|t1 - t2|), moves the fit in its last bits
-        # and the p-value by 5.0e-8.
+        # and the p-value by 5.0e-8. Imhof panels sized by the exact phase-rate
+        # bound and graded at the origin move it by 3.3e-16.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
-        assert res.p_values.tolist() == [0.719775999670127]
+        assert res.p_values.tolist() == [0.7197759996701266]
 
     def test_workers_run_blas_on_one_thread(self, populations, monkeypatch):
         numpy_blas = _native.blas_threads("numpy")
