@@ -9,10 +9,10 @@ in log coordinates with the mixing proportion on a logistic scale.
 
 The starts run in lockstep. L-BFGS-B is driven through scipy's
 reverse-communication routine ``setulb``, so each start is a generator
-that yields the parameter vector it needs evaluated next. The fitter
-gathers the pending vectors of all unfinished starts into one
-(starts x n) array, computes log-likelihood, score and mean
-responsibility for every row in one pass, and sends each start its row.
+that yields the parameter row it needs evaluated next. Each round
+evaluates the pending rows of all unfinished starts in one (starts x n)
+pass, forms every row's objective and gradient from its log-likelihood
+and score at once, and sends each start its own.
 The pass starts from log x, taken once per fit, and costs four
 transcendentals per point and row: (x/b)^a for each component, then one
 exp and one log1p. A row's values do not depend on the other rows, and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -225,42 +224,16 @@ def _to_eta(th: np.ndarray) -> np.ndarray:
     return np.clip(eta, -_BOX5, _BOX5)
 
 
-def _from_eta(eta: np.ndarray) -> np.ndarray:
+def _from_eta(eta: np.ndarray, p: float | None = None) -> np.ndarray:
+    """The parameter row at eta, or at the log shapes and scales eta[:4] with p given."""
     th = np.empty(5)
-    th[:4] = np.exp(eta[:4])
-    th[4] = _expit(eta[4])
+    np.exp(eta[:4], out=th[:4])
+    th[4] = _expit(eta[4]) if p is None else p
     return th
 
 
-def _nll_eta(eta: np.ndarray):
-    """Negative log-likelihood and gradient in the five eta coordinates.
-
-    A generator: yields the parameter row to evaluate, receives
-    (log-likelihood, score, responsibility mean) and returns (f, gradient).
-    """
-    th = _from_eta(eta)
-    ll, score, _ = yield th
-    if not math.isfinite(ll):
-        return _HUGE_NLL, np.zeros(5)
-    jac = np.concatenate([th[:4], [th[4] * (1.0 - th[4])]])
-    return -ll, -score * jac
-
-
-def _nll_eta4(eta4: np.ndarray, th: np.ndarray):
-    """As _nll_eta over the log shapes and scales, with p held fixed.
-
-    ``th`` is the parameter row to fill: its p entry is set, and the shapes
-    and scales are written over on each call.
-    """
-    np.exp(eta4, out=th[:4])
-    ll, score, _ = yield th
-    if not math.isfinite(ll):
-        return _HUGE_NLL, np.zeros(4)
-    return -ll, -(score[:4] * th[:4])
-
-
 def _lbfgsb(
-    objective, x0: np.ndarray, box: np.ndarray, maxiter: int, ftol: float, gtol: float = 1e-5
+    x0: np.ndarray, box: np.ndarray, maxiter: int, ftol: float, gtol: float = 1e-5, p=None
 ):
     """Minimize over the box |x_i| <= box_i with L-BFGS-B, as a generator.
 
@@ -268,8 +241,10 @@ def _lbfgsb(
     ``setulb`` with its defaults (m=10, maxls=20, maxfun=15000): x0 is
     clipped to the box, a point equal to the last evaluated one is not
     evaluated again, and the run stops once the iteration count reaches
-    ``maxiter``. Each evaluation is delegated to the generator
-    ``objective(x)``. Returns (x, f) as minimize reports them.
+    ``maxiter``. Each point x is yielded as its parameter row
+    ``_from_eta(x, p)``, with p held fixed when given, and the generator
+    receives that row's (f, g, responsibility mean), of which it uses
+    g[:x0.size]. Returns (x, f) as minimize reports them.
     """
     setulb = _native.setulb()
     n = x0.size
@@ -291,7 +266,6 @@ def _lbfgsb(
     n_evaluations = 0
     n_iterations = 0
     while True:
-        g = g.astype(np.float64)
         setulb(
             m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave,
             _LBFGSB_MAXLS, ln_task,
@@ -301,9 +275,9 @@ def _lbfgsb(
             # equals nothing.
             if x.tolist() != x_eval:
                 x_eval = x.tolist()
-                f_eval, g_eval = yield from objective(x)
+                f_eval, g_eval, _ = yield _from_eta(x, p)
                 n_evaluations += 1
-            f, g = f_eval, g_eval
+            f, g = f_eval, g_eval[:n]
         elif task[0] == 1:  # NEW_X: an iteration finished
             n_iterations += 1
             if n_iterations >= maxiter:
@@ -319,8 +293,8 @@ def _fit_start(theta0: np.ndarray, max_iterations: int):
 
     Up to four EM cycles (mean responsibility for p, then L-BFGS-B on the
     four log shapes and scales), then L-BFGS-B on all five coordinates.
-    Receives (log-likelihood, score, responsibility mean) for each row it
-    yields; returns the final (theta, log-likelihood).
+    Receives (f, g, responsibility mean) for each row it yields, as
+    ``_optimize_starts`` forms them; returns the final (theta, log-likelihood).
     """
     eta = _to_eta(theta0)
     ll_prev = -math.inf
@@ -328,28 +302,25 @@ def _fit_start(theta0: np.ndarray, max_iterations: int):
         _, _, resp = yield _from_eta(eta)
         p_new = min(max(resp, 1e-6), 1.0 - 1e-6)
         eta[4] = _logit(p_new)
-        th = np.array([0.0, 0.0, 0.0, 0.0, p_new])
-        eta[:4], nll = yield from _lbfgsb(
-            partial(_nll_eta4, th=th), eta[:4], _BOX4, maxiter=25, ftol=1e-12
-        )
+        eta[:4], nll = yield from _lbfgsb(eta[:4], _BOX4, maxiter=25, ftol=1e-12, p=p_new)
         ll = -float(nll)
         if ll - ll_prev <= 1e-9 * (1.0 + abs(ll)):
             break
         ll_prev = ll
-    eta, nll = yield from _lbfgsb(
-        _nll_eta, eta, _BOX5, maxiter=max_iterations, ftol=1e-13, gtol=1e-9
-    )
+    eta, nll = yield from _lbfgsb(eta, _BOX5, maxiter=max_iterations, ftol=1e-13, gtol=1e-9)
     return _from_eta(eta), -float(nll)
 
 
-def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> tuple:
+def _optimize_starts(logx: np.ndarray, starts: list, config: FitConfig) -> tuple:
     """Run every start to its local optimum in lockstep.
 
     Each round evaluates the rows that all unfinished starts are waiting on
-    as one batch and sends each start its own row. Returns the (theta, ll)
-    of each start, the number of rounds and the number of rows evaluated.
+    as one batch and forms every row's objective f = -ll and gradient
+    g = -score * (a1, a2, b1, b2, p (1 - p)) in eta coordinates at once,
+    with (1e18, 0) where ll is not finite. Each start is sent its own
+    (f, g, responsibility mean). Returns the (theta, ll) of each start, the
+    number of rounds and the number of rows evaluated.
     """
-    logx = np.log(x)
     runs = [_fit_start(theta0, config.max_iterations) for theta0 in starts]
     results = [None] * len(runs)
     n_rounds = n_evaluations = 0
@@ -361,10 +332,17 @@ def _optimize_starts(x: np.ndarray, starts: list, config: FitConfig) -> tuple:
             order = list(pending)
             n_rounds += 1
             n_evaluations += len(order)
-            ll, score, resp = _evaluate(logx, np.array([pending[i] for i in order]))
-            for i, ll_i, score_i, resp_i in zip(order, ll.tolist(), score, resp.tolist()):
+            thetas = np.array([pending[i] for i in order])
+            ll, score, resp = _evaluate(logx, thetas)
+            # d theta / d eta: the shapes and scales, and p (1 - p)
+            thetas[:, 4] *= 1.0 - thetas[:, 4]
+            g = np.multiply(-score, thetas, order="C")
+            finite = np.isfinite(ll)
+            g[~finite] = 0.0
+            f = np.where(finite, -ll, _HUGE_NLL)
+            for i, f_i, g_i, resp_i in zip(order, f.tolist(), g, resp.tolist()):
                 try:
-                    pending[i] = runs[i].send((ll_i, score_i, resp_i))
+                    pending[i] = runs[i].send((f_i, g_i, resp_i))
                 except StopIteration as done:
                     results[i] = done.value
                     del pending[i]
@@ -425,6 +403,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     octets = round(math.log2(sample.values[sample.n // 2]) / 8)
     scale = math.ldexp(1.0, 8 * min(max(octets, -127), 127))
     x = sample.values / scale
+    logx = np.log(x)
     starts = _starting_points(x, config)
     admissible = []
     n_boundary = 0
@@ -433,7 +412,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     # after the fit and slow whatever runs next. The iterates do not depend
     # on the thread count.
     with _native.one_blas_thread("scipy"):
-        optima, n_rounds, n_evaluations = _optimize_starts(x, starts, config)
+        optima, n_rounds, n_evaluations = _optimize_starts(logx, starts, config)
     for th, ll in optima:
         if not math.isfinite(ll):
             n_boundary += 1
@@ -447,7 +426,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
             f"all {len(starts)} starts diverged or ended on the mixing boundary"
         )
     th_best, ll_best = max(admissible, key=lambda item: item[1])
-    grad, hess = _score_and_hessian(MixtureParams.from_array(th_best), x)
+    grad, hess = _score_and_hessian(MixtureParams.from_array(th_best), logx)
     converged = bool(np.max(np.abs(grad)) < config.tolerance * sample.n)
     # Back to the data's unit: the scales by scale, each density by
     # 1/scale and each derivative along a scale by 1/scale.
@@ -479,11 +458,11 @@ def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
     h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
     stay inside the parameter space), symmetrized.
     """
-    return _score_and_hessian(theta, sample.values)[1]
+    return _score_and_hessian(theta, np.log(sample.values))[1]
 
 
-def _score_and_hessian(theta: MixtureParams, x: np.ndarray) -> tuple:
-    """Score and Hessian at theta for the observations x, as ``hessian_at`` defines it.
+def _score_and_hessian(theta: MixtureParams, logx: np.ndarray) -> tuple:
+    """Score and Hessian at theta for the log observations logx, as ``hessian_at`` defines it.
 
     theta and its ten shifted parameter rows are evaluated as one batch.
     """
@@ -497,7 +476,7 @@ def _score_and_hessian(theta: MixtureParams, x: np.ndarray) -> tuple:
     for j in range(5):
         rows[2 * j + 1, j] += h[j]
         rows[2 * j + 2, j] -= h[j]
-    score = _evaluate(np.log(x), rows)[1]
+    score = _evaluate(logx, rows)[1]
     hess = (score[1::2] - score[2::2]).T / (2.0 * h)
     if not np.all(np.isfinite(hess)):
         raise NonFiniteHessian("a second-derivative entry is not finite")

@@ -26,6 +26,7 @@ from wmixgof import (
 import wmixgof._native as _native
 import wmixgof.estimation as estimation
 from wmixgof.mixture_model import invert_cdf, mixture_cdf, mixture_pdf
+from wmixgof.simulation import _replication_seeds
 from conftest import _fresh_interpreter_output, _outputs_under_blas_threads
 
 
@@ -479,6 +480,46 @@ class TestLockstepMatchesPerStartMinimize:
             ref = _ref_score(x, row)
             assert np.max(np.abs(score[i] - ref)) <= 1e-10 * np.max(np.abs(ref))
             assert resp[i] == pytest.approx(_ref_responsibility_mean(x, row), rel=1e-11, abs=0.0)
+
+
+def test_round_forms_each_rows_objective_and_gradient(populations, monkeypatch):
+    # One round of four rows on the sample of replication 96 of seed
+    # 191203423, where the fitter's four-coordinate gradient overflows.
+    # Each row's (f, g) must be the reference objective's bit for bit.
+    s_sample, _ = _replication_seeds(191203423, 96)
+    x = sample_mixture(populations[1].theta, 100, s_sample).values
+    row = _single_rows(x)
+    eta5 = estimation._to_eta(populations[1].theta.as_array())
+    # (eta, p): p is None for a five-coordinate row and held fixed otherwise
+    cases = {
+        "underflow": (np.array([12.0, 12.0, 0.0, 0.0, 0.0]), None),
+        "spike": (np.log([798.3760994871054, 115.77975681521512, 0.019744619629136026,
+                          0.013810539697063738]), 0.2104052502284595),
+        "em": (eta5[:4] + 0.1, 0.3),
+        "polish": (eta5, None),
+    }
+    received = {}
+
+    def one_row(name, max_iterations):
+        received[name] = yield estimation._from_eta(*cases[name])
+
+    monkeypatch.setattr(estimation, "_fit_start", one_row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, n_rounds, _ = estimation._optimize_starts(np.log(x), list(cases), FitConfig())
+        assert n_rounds == 1
+        for name, (eta, p) in cases.items():
+            f, g, resp = received[name]
+            if p is None:
+                f_ref, g_ref = _ref_nll_eta(eta, row)
+            else:
+                f_ref, g_ref = _ref_nll_eta4(eta, row, p)
+                g = g[:4]
+            assert f == f_ref, name
+            assert g.tobytes() == g_ref.tobytes(), name
+            assert resp == row(estimation._from_eta(eta, p))[2], name
+    assert received["underflow"][0] == estimation._HUGE_NLL
+    assert np.isinf(received["spike"][1][:4]).any()
 
 
 # (population, n, seed): two samples per population at n=100, one at n=1000.

@@ -277,6 +277,15 @@ class TestQuadrature:
                 else:
                     assert abs(p - quad_reference(dist, x, tol)) <= 1e-7
 
+    def test_tight_tolerance_on_the_bridge_weights(self):
+        # At tol=1e-12 a bisected panel's share of the tolerance falls below
+        # the rounding of its K15 and G7 sums; without qk15's rounding floor
+        # x = 3.5 and 4.25 ran out of refinement rounds on this grid
+        tol = 1e-12
+        bridge = WeightedChiSquare(simple_hypothesis_lambdas(100))
+        for x in np.arange(50, 91) / 20:
+            assert abs(imhof_tail(bridge, x, tol) - quad_reference(bridge, x, tol)) <= tol / 2
+
     def test_few_integrand_passes_on_the_bridge_weights(self, monkeypatch):
         # the graded panels at the origin leave nothing to bisect there;
         # from W2 of about 0.17 the first uniform panels still bisect once
