@@ -3,7 +3,7 @@
 Every command writes a JSON report (stdout or --output) that echoes the
 effective configuration and the package version, so any number in a
 report can be reproduced from the report alone. Exit codes are stable:
-0 success, 2 parse/usage failure, 3 fit failure, 4 kernel or tail-
+0 success, 2 parse/usage failure, 3 fit or study failure, 4 kernel or tail-
 probability failure, each with a one-line ``error: <stage>: <reason>``
 on stderr.
 """
@@ -18,23 +18,22 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, StudyAborted, WmixgofError
+from .errors import DomainError, WmixgofError
 from .estimation import FitConfig, FitResult, fit_mle
 from .kernel_eigen import brownian_bridge_q, eigen_spectrum, simple_hypothesis_lambdas
 from .mixture_model import MixtureParams, Sample
 from .simulation import PopulationSpec, benchmark_populations, gof_test, run_study
 
-EXIT_PARSE = 2
-EXIT_FIT = 3
-EXIT_KERNEL = 4
-_STAGE_EXITS = {"fit": EXIT_FIT, "kernel": EXIT_KERNEL}
+_STAGE_EXITS = {"parse": 2, "fit": 3, "simulate": 3, "kernel": 4}
 
 # Parameters echoed under another name in a report's config section.
 _ECHO_NAMES = {"input_path": "input", "theta_text": "theta"}
 
 
-class DataFileError(Exception):
+class DataFileError(WmixgofError):
     """A data file could not be parsed into positive observations."""
+
+    stage = "parse"
 
 
 def read_observations(path: str) -> np.ndarray:
@@ -46,39 +45,39 @@ def read_observations(path: str) -> np.ndarray:
     values = []
     header_allowed = True
     try:
-        # utf-8-sig drops a byte-order mark, which would hide the first value
-        fh = open(path, "r", encoding="utf-8-sig")
+        with open(path, "rb") as fh:
+            # decoded whole, so an error's offset counts from the file's start;
+            # utf-8-sig drops a byte-order mark, which would hide the first value
+            lines = fh.read().decode("utf-8-sig").splitlines()
     except OSError as exc:
         raise DataFileError(f"cannot open {path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    except UnicodeDecodeError as exc:
+        raise DataFileError(
+            f"cannot decode {path} as UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = [f for f in line.replace(",", " ").split() if f]
+        if len(fields) != 1:
+            raise DataFileError(f"line {lineno}: expected a single column, got {line!r}")
+        try:
+            v = float(fields[0])
+        except ValueError:
+            if header_allowed:
+                header_allowed = False
                 continue
-            fields = [f for f in line.replace(",", " ").split() if f]
-            if len(fields) != 1:
-                raise DataFileError(f"line {lineno}: expected a single column, got {line!r}")
-            try:
-                v = float(fields[0])
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False
-                    continue
-                raise DataFileError(f"line {lineno}: not a number: {fields[0]!r}") from None
-            header_allowed = False
-            if not np.isfinite(v) or v <= 0.0:
-                raise DataFileError(
-                    f"line {lineno}: observations must be positive and finite, got {fields[0]}"
-                )
-            values.append(v)
+            raise DataFileError(f"line {lineno}: not a number: {fields[0]!r}") from None
+        header_allowed = False
+        if not np.isfinite(v) or v <= 0.0:
+            raise DataFileError(
+                f"line {lineno}: observations must be positive and finite, got {fields[0]}"
+            )
+        values.append(v)
     if not values:
         raise DataFileError(f"no observations found in {path}")
     return np.asarray(values)
-
-
-def _fail(code: int, stage: str, message: str) -> None:
-    click.echo(f"error: {stage}: {message}", err=True)
-    sys.exit(code)
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -145,7 +144,7 @@ def grid_option(default: int):
 
 
 class _Commands(click.Group):
-    """Turns an error of the fit or kernel stage into its exit code and one line on stderr."""
+    """Turns a staged error into its exit code and one line on stderr."""
 
     def invoke(self, ctx):
         try:
@@ -153,7 +152,8 @@ class _Commands(click.Group):
         except WmixgofError as exc:
             if exc.stage is None:
                 raise
-            _fail(_STAGE_EXITS[exc.stage], exc.stage, str(exc))
+            click.echo(f"error: {exc.stage}: {exc}", err=True)
+            sys.exit(_STAGE_EXITS[exc.stage])
 
 
 @click.group(cls=_Commands, context_settings={"help_option_names": ["-h", "--help"]})
@@ -162,20 +162,13 @@ def main():
     """Goodness-of-fit testing for two-component Weibull mixtures."""
 
 
-def _read_sample(input_path: str) -> Sample:
-    try:
-        return Sample(read_observations(input_path), label=input_path)
-    except DataFileError as exc:
-        _fail(EXIT_PARSE, "parse", str(exc))
-
-
 @main.command("fit")
 @input_option
 @output_option
 @seed_option
 def cmd_fit(input_path, output, seed):
     """Fit the mixture by maximum likelihood and report the parameters."""
-    sample = _read_sample(input_path)
+    sample = Sample(read_observations(input_path), label=input_path)
     fit = fit_mle(sample, FitConfig(seed=seed))
     report = {
         "command": "fit",
@@ -200,7 +193,7 @@ def cmd_test(input_path, output, seed, grid_size):
     kernel eigenvalues and converts the statistic to an approximate
     p-value.
     """
-    sample = _read_sample(input_path)
+    sample = Sample(read_observations(input_path), label=input_path)
     outcome = gof_test(sample, FitConfig(seed=seed), grid_size)
     spectrum = outcome.spectrum
     report = {
@@ -251,12 +244,7 @@ def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta
         spec = PopulationSpec(theta=_parse_theta(theta_text), label="custom")
     else:
         spec = benchmark_populations()[population - 1]
-    try:
-        result = run_study(
-            spec, n_reps, sample_size, seed, grid_size=grid_size, processes=processes
-        )
-    except StudyAborted as exc:
-        _fail(EXIT_FIT, "simulate", str(exc))
+    result = run_study(spec, n_reps, sample_size, seed, grid_size=grid_size, processes=processes)
     report = {
         "command": "simulate",
         "version": __version__,

@@ -1,10 +1,12 @@
 """Exception types raised across the package.
 
-``stage`` names the step of the test chain an error stops: ``"fit"`` for
-the maximum-likelihood fit (Hessian included), ``"kernel"`` for the kernel,
-its eigenvalues and the tail probability, and None for errors in the
-arguments or the study as a whole. A study counts a replication with a
-staged error as failed; the command line maps the stage to its exit code.
+``stage`` names the step an error stops: ``"parse"`` for reading a data
+file (the command line's ``DataFileError``), ``"fit"`` for the
+maximum-likelihood fit (Hessian included), ``"kernel"`` for the kernel,
+its eigenvalues and the tail probability, ``"simulate"`` for a study that
+aborts as a whole, and None for errors in the arguments. A study counts a
+replication with a staged error as failed (only fit and kernel errors can
+arise inside one); the command line maps the stage to its exit code.
 """
 
 
@@ -72,3 +74,5 @@ class QuadratureFailure(WmixgofError):
 
 class StudyAborted(WmixgofError):
     """Too many replications failed for the study result to be trusted."""
+
+    stage = "simulate"

@@ -36,11 +36,6 @@ __all__ = [
     "simple_hypothesis_lambdas",
 ]
 
-# Rows of the bridge term filled per step: its temporaries stay at
-# _BRIDGE_ROWS-by-m instead of m-by-m.
-_BRIDGE_ROWS = 64
-
-
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Kernel on the interior grid, scaled by the quadrature weight, as its factor.
@@ -78,10 +73,13 @@ class KernelMatrix:
     def entries(self) -> np.ndarray:
         """The m-by-m kernel matrix, newly allocated (8 m^2 bytes) on every access.
 
-        R'R is numpy's symmetric rank-k product, subtracted in place from
-        the bridge, so the matrix is symmetric bit for bit.
+        The upper triangle is the one the eigensolver reads; it is copied
+        into the lower one, so the matrix is symmetric bit for bit.
         """
-        return _kernel_matrix(self, upper=False)
+        a = _kernel_matrix(self)
+        lower = np.tri(self.m, k=-1, dtype=bool)
+        a[lower] = a.T[lower]
+        return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,27 +147,20 @@ def build_q_matrix(
     return KernelMatrix(m=m, factor=r, n_quantile_rounds=n_rounds)
 
 
-def _kernel_matrix(q: KernelMatrix, upper: bool) -> np.ndarray:
-    """The m-by-m kernel matrix, whole or with its upper triangle alone filled.
+def _kernel_matrix(q: KernelMatrix) -> np.ndarray:
+    """The m-by-m kernel matrix as one product of two (k+1)-by-m factors.
 
-    The bridge term (min(s_i, s_j) - s_i * s_j) / (m + 1) is formed a block
-    of rows at a time, from commutative operations, so it is symmetric bit
-    for bit, and R'R is subtracted from it in place. With ``upper`` each
-    block covers only the columns from its first row on; the entries below
-    the diagonal then keep R'R (the lower triangle of the diagonal blocks
-    excepted) and are not read.
+    On and above the diagonal min(s_i, s_j) - s_i s_j is s_i (1 - s_j), so
+    with left = [s; R] and right = [(1 - s)/(m + 1); -R] the product
+    left' right holds the bridge term minus R'R there. Below the diagonal
+    it holds s_i (1 - s_j) / (m + 1) - R'R, which no caller reads. einsum
+    calls no BLAS, so the entries keep their bits whatever the thread count.
     """
     r, m = q.factor, q.m
     s = grid_points(m)
-    a = r.T @ r
-    for i in range(0, m, _BRIDGE_ROWS):
-        rows, cols = s[i : i + _BRIDGE_ROWS], s[i if upper else 0 :]
-        block = np.minimum.outer(rows, cols)
-        block -= np.outer(rows, cols)
-        block /= m + 1.0
-        target = a[i : i + _BRIDGE_ROWS, m - cols.size :]
-        np.subtract(block, target, out=target)
-    return a
+    left = np.vstack([s, r])
+    right = np.vstack([(1.0 - s) / (m + 1.0), -r])
+    return np.einsum("ki,kj->ij", left, right)
 
 
 def brownian_bridge_q(m: int) -> KernelMatrix:
@@ -182,19 +173,19 @@ def brownian_bridge_q(m: int) -> KernelMatrix:
 def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectrum:
     """All eigenvalues of the kernel matrix plus the retained head.
 
-    The m-by-m matrix is built once, and the eigensolver (LAPACK's dsyevd,
-    eigenvalues only) overwrites it in place. Only the triangle dsyevd reads
-    is filled: the upper one of the C-ordered buffer, which is the lower one
-    ('L') in the column-major layout the solver is handed, as it is for the
-    eigvalsh fallback, given the transpose. Positive eigenvalues are kept
-    until their cumulative sum reaches a (1 - tail_tolerance) share of the
-    total positive mass; the discarded tail contributes at most that share
-    to the limiting distribution.
+    The m-by-m matrix is built once, as one product of two thin factors,
+    and the eigensolver (LAPACK's dsyevd, eigenvalues only) overwrites it in
+    place. The solver reads only the upper triangle of the C-ordered
+    product, which is the lower one ('L') in the column-major layout it is
+    handed, as it is for the eigvalsh fallback, given the transpose.
+    Positive eigenvalues are kept until their cumulative sum reaches a
+    (1 - tail_tolerance) share of the total positive mass; the discarded
+    tail contributes at most that share to the limiting distribution.
     """
     if not 0.0 <= tail_tolerance < 1.0:
         raise DomainError("tail_tolerance must lie in [0, 1)")
     # the solver overwrites a, a C-ordered float64 buffer of its own
-    a = _kernel_matrix(q, upper=True)
+    a = _kernel_matrix(q)
     solver = _native.dsyevd()
     if solver is None:
         try:

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from wmixgof import (
+    AllStartsFailed,
     FitConfig,
     NonFiniteHessian,
     Sample,
@@ -20,6 +21,7 @@ import wmixgof.estimation as estimation
 import wmixgof.imhof as imhof
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
+import wmixgof.simulation as simulation
 from wmixgof.mixture_model import invert_cdf
 from wmixgof.simulation import _replication_seeds
 
@@ -121,6 +123,15 @@ class TestCmdTest:
     def test_missing_file_exits_2(self, runner):
         result = runner.invoke(main, ["test", "-i", "/no/such/file"])
         assert result.exit_code == 2
+
+    def test_undecodable_file_exits_2(self, runner, tmp_path):
+        # UTF-16 opens with the bytes ff fe, which UTF-8 cannot start with
+        path = tmp_path / "utf16.txt"
+        path.write_text("1.0\n2.0\n", encoding="utf-16")
+        result = runner.invoke(main, ["test", "-i", str(path)])
+        assert result.exit_code == 2
+        assert "error: parse:" in result.output
+        assert "at byte 0" in result.output
 
     def test_output_file(self, runner, pop5_file, tmp_path):
         out = tmp_path / "report.json"
@@ -319,6 +330,16 @@ class TestExitCodes:
         result = runner.invoke(main, ["test", "-i", pop5_file, "-m", "50"])
         assert result.exit_code == 4
         assert "error: kernel: kernel entries must be finite" in result.output
+
+    def test_aborted_study_exits_3(self, runner, monkeypatch):
+        def always_fails(sample, config):
+            raise AllStartsFailed("forced failure")
+
+        monkeypatch.setattr(simulation, "fit_mle", always_fails)
+        args = ["simulate", "--population", "1", "--n-reps", "3", "-m", "20"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert "error: simulate: 3 of 3 replications failed" in result.output
 
     def test_exhausted_quadrature_budget_exits_4(self, runner, pop5_file, monkeypatch):
         monkeypatch.setattr(imhof, "_MAX_NODES", 10)

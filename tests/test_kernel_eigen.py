@@ -27,6 +27,7 @@ from wmixgof.mixture_model import cdf_gradients, invert_cdf, mixture_cdf
 import wmixgof._native as _native
 import wmixgof.kernel_eigen as kernel_eigen
 import wmixgof.mixture_model as mixture_model
+from conftest import _outputs_under_blas_threads
 
 
 def bridge_eigen_errors(m, count=10):
@@ -433,6 +434,18 @@ class TestSimpleHypothesisLambdas:
             simple_hypothesis_lambdas(0)
 
 
+_ENTRIES_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+from wmixgof.kernel_eigen import KernelMatrix
+rng = np.random.default_rng(7)
+for m in (500, 1500):
+    q = KernelMatrix(m, rng.normal(scale=m ** -0.5, size=(5, m)))
+    sys.stdout.write(hashlib.sha256(q.entries.tobytes()).hexdigest() + "\\n")
+"""
+
+
 class TestKernelMatrixType:
     def test_rejects_wrong_shape(self):
         for shape in [(3,), (5, 2), (1, 5, 3)]:
@@ -459,13 +472,31 @@ class TestKernelMatrixType:
         f[0, 0] = 1.0
         assert q.factor[0, 0] == 0.0
 
-    def test_entries_are_bridge_minus_gram_product(self):
-        r = np.array([[0.1, -0.2, 0.3], [0.05, 0.0, -0.1]])
-        s = grid_points(3)
-        bridge = (np.minimum.outer(s, s) - np.outer(s, s)) / 4.0
-        q = KernelMatrix(m=3, factor=r)
-        assert q.entries == pytest.approx(bridge - r.T @ r, abs=1e-16)
-        # each access is a new buffer that the caller may overwrite
-        first = q.entries
-        first[:] = 0.0
-        assert not np.array_equal(q.entries, first)
+    def test_entries_are_bridge_minus_gram_product(self, fitted_pop1):
+        sample, fit = fitted_pop1
+        factors = [
+            np.array([[0.1, -0.2, 0.3], [0.05, 0.0, -0.1]]),
+            build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200).factor,
+        ]
+        for r in factors:
+            m = r.shape[1]
+            s = grid_points(m)
+            bridge = (np.minimum.outer(s, s) - np.outer(s, s)) / (m + 1.0)
+            q = KernelMatrix(m=m, factor=r)
+            entries = q.entries
+            # the terms summed are as large as the bridge's largest entry,
+            # several times the kernel's, so that entry's ulp bounds the error
+            assert np.max(np.abs(entries - (bridge - r.T @ r))) <= 4 * np.spacing(bridge.max())
+            assert entries.tobytes() == entries.T.tobytes()
+            upper = np.triu_indices(m)
+            assert kernel_eigen._kernel_matrix(q)[upper].tobytes() == entries[upper].tobytes()
+            # each access is a new buffer that the caller may overwrite
+            entries[:] = 0.0
+            assert not np.array_equal(q.entries, entries)
+
+    def test_entries_identical_across_blas_thread_counts_at_m_500_and_1500(self):
+        # A BLAS product here, R'R or left.T @ right, changes bits between
+        # one and two OpenBLAS threads at m=500 and 1500, though not at 1000
+        outputs = _outputs_under_blas_threads(_ENTRIES_SCRIPT)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]

@@ -298,11 +298,12 @@ class TestRunStudy:
         # likelihood evaluated from log x - log b, with the weights and
         # ratios taken from exp(-|t1 - t2|), moves the fit in its last bits
         # and the p-value by 5.0e-8. Imhof panels sized by the exact phase-rate
-        # bound and graded at the origin move it by 3.3e-16.
+        # bound and graded at the origin move it by 3.3e-16, and the kernel
+        # formed as one product of two thin factors by 2.2e-16.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = run_study(populations[1], 1, 100, 191203423, first_rep=96)
-        assert res.p_values.tolist() == [0.7197759996701266]
+        assert res.p_values.tolist() == [0.7197759996701268]
 
     def test_workers_run_blas_on_one_thread(self, populations, monkeypatch):
         numpy_blas = _native.blas_threads("numpy")
