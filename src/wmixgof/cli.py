@@ -194,7 +194,7 @@ def cmd_test(input_path, output, seed, grid_size):
     p-value.
     """
     sample = Sample(read_observations(input_path), label=input_path)
-    outcome = gof_test(sample, FitConfig(seed=seed), grid_size)
+    outcome = gof_test(sample, seed, grid_size)
     spectrum = outcome.spectrum
     report = {
         "command": "test",

@@ -13,7 +13,7 @@ that yields the parameter row it needs evaluated next. Each round
 evaluates the pending rows of all unfinished starts in one (starts x n)
 pass, forms every row's objective and gradient from its log-likelihood
 and score at once, and sends each start its own.
-The pass starts from log x, taken once per fit, and costs four
+The pass starts from log x, taken once for all rounds, and costs four
 transcendentals per point and row: (x/b)^a for each component, then one
 exp and one log1p. A row's values do not depend on the other rows, and
 the lockstep loop repeats ``scipy.optimize.minimize(method="L-BFGS-B")``
@@ -127,7 +127,7 @@ class FitResult:
 def _evaluate(logx: np.ndarray, thetas: np.ndarray) -> tuple:
     """Log-likelihood, score and mean responsibility at each parameter row.
 
-    ``logx`` is the log of the sample, taken once per fit, and ``thetas`` a
+    ``logx`` is the log of the sample in the fit's unit, and ``thetas`` a
     (k, 5) array of rows (a1, a2, b1, b2, p) with positive shapes and scales
     and p in (0, 1): the fitter's p is a logistic of a clipped logit, and
     ``_score_and_hessian`` rejects any other. Returns the total
@@ -385,24 +385,17 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
 
     Raises TooFewObservations below 20 points and AllStartsFailed when
     every start diverged or finished with the mixing proportion outside
-    [0.001, 0.999]. Deterministic for a fixed (sample, config) pair.
-
-    The fit runs on the sample divided by a power of two near its middle
-    observation and is mapped back, so ``hessian`` equals
-    ``hessian_at(theta_hat, sample)`` only where that observation lies
-    between 1/16 and 16 and the power is 1.
+    [0.001, 0.999]. Deterministic for a fixed (sample, config) pair. The
+    fit runs on the sample divided by ``_unit(sample)``, and ``hessian`` is
+    ``hessian_at(theta_hat, sample)``.
     """
     config = config or FitConfig()
     if sample.n < 20:
         raise TooFewObservations(
             f"need at least 20 observations for a five-parameter fit, got {sample.n}"
         )
-    # The family and W2 are closed under scaling, but the box on the log
-    # scales and the Hessian's absolute step floor are not. A power of two
-    # keeps the scaling exact.
-    octets = round(math.log2(sample.values[sample.n // 2]) / 8)
-    scale = math.ldexp(1.0, 8 * min(max(octets, -127), 127))
-    x = sample.values / scale
+    unit = _unit(sample)
+    x = sample.values / unit
     logx = np.log(x)
     starts = _starting_points(x, config)
     admissible = []
@@ -426,17 +419,11 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
             f"all {len(starts)} starts diverged or ended on the mixing boundary"
         )
     th_best, ll_best = max(admissible, key=lambda item: item[1])
-    grad, hess = _score_and_hessian(MixtureParams.from_array(th_best), logx)
+    # Back to the data's unit: the scales by unit, each density by 1/unit.
+    theta_hat = MixtureParams.from_array(th_best * [1.0, 1.0, unit, unit, 1.0])
+    ll_shift = sample.n * math.log(unit)
+    grad, hess = _score_and_hessian(theta_hat, sample)
     converged = bool(np.max(np.abs(grad)) < config.tolerance * sample.n)
-    # Back to the data's unit: the scales by scale, each density by
-    # 1/scale and each derivative along a scale by 1/scale.
-    theta_hat = MixtureParams.from_array(th_best * [1.0, 1.0, scale, scale, 1.0])
-    ll_shift = sample.n * math.log(scale)
-    unscale = np.array([1.0, 1.0, 1.0 / scale, 1.0 / scale, 1.0])
-    with np.errstate(over="ignore"):
-        hess = unscale[:, None] * hess * unscale
-    if not np.all(np.isfinite(hess)):
-        raise NonFiniteHessian("a second-derivative entry overflows in the data's unit")
     return FitResult(
         theta_hat=theta_hat,
         log_likelihood=ll_best - ll_shift,
@@ -451,24 +438,36 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     )
 
 
-def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
-    """Hessian of the total log-likelihood at theta.
+def _unit(sample: Sample) -> float:
+    """The fit's unit: the power of two 256**k nearest the middle observation.
 
-    Central finite differences of the analytic score, step
-    h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
-    stay inside the parameter space), symmetrized.
+    The box on the log scales and the Hessian's step floor are not unit-free.
     """
-    return _score_and_hessian(theta, np.log(sample.values))[1]
+    octets = round(math.log2(sample.values[sample.n // 2]) / 8)
+    return math.ldexp(1.0, 8 * min(max(octets, -127), 127))
 
 
-def _score_and_hessian(theta: MixtureParams, logx: np.ndarray) -> tuple:
-    """Score and Hessian at theta for the log observations logx, as ``hessian_at`` defines it.
+def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
+    """Hessian of the total log-likelihood at theta; at a fit's theta_hat, the fit's ``hessian``.
 
-    theta and its ten shifted parameter rows are evaluated as one batch.
+    Central differences of the analytic score in the fit's unit, step
+    h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
+    stay inside the parameter space), symmetrized and mapped to the data's unit.
+    """
+    return _score_and_hessian(theta, sample)[1]
+
+
+def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
+    """Score in the fit's unit, where ``fit_mle`` tests it, and ``hessian_at``'s Hessian.
+
+    theta and its ten shifted rows are evaluated as one batch on the sample
+    and theta's scales divided by ``_unit(sample)``.
     """
     if not 0.0 < theta.p < 1.0:
         raise DomainError("Hessian requires an interior mixing proportion")
-    th = theta.as_array()
+    unit = _unit(sample)
+    per_unit = np.array([1.0, 1.0, 1.0 / unit, 1.0 / unit, 1.0])
+    th = theta.as_array() * per_unit
     h = np.maximum(1e-5, 1e-5 * np.abs(th))
     h[:4] = np.minimum(h[:4], 0.49 * th[:4])
     h[4] = min(h[4], 0.49 * min(theta.p, 1.0 - theta.p))
@@ -476,8 +475,10 @@ def _score_and_hessian(theta: MixtureParams, logx: np.ndarray) -> tuple:
     for j in range(5):
         rows[2 * j + 1, j] += h[j]
         rows[2 * j + 2, j] -= h[j]
-    score = _evaluate(logx, rows)[1]
+    score = _evaluate(np.log(sample.values / unit), rows)[1]
     hess = (score[1::2] - score[2::2]).T / (2.0 * h)
+    with np.errstate(over="ignore"):
+        hess = per_unit[:, None] * (0.5 * (hess + hess.T)) * per_unit
     if not np.all(np.isfinite(hess)):
         raise NonFiniteHessian("a second-derivative entry is not finite")
-    return score[0], 0.5 * (hess + hess.T)
+    return score[0], hess

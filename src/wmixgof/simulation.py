@@ -106,16 +106,16 @@ class GofOutcome:
     n_quantile_rounds: int
 
 
-def gof_test(sample: Sample, fit_config: FitConfig, grid_size: int) -> GofOutcome:
+def gof_test(sample: Sample, seed: int, grid_size: int) -> GofOutcome:
     """Test the sample against the two-component Weibull mixture family.
 
-    Fits the mixture, computes the Cramer-von Mises statistic of the
-    transformed sample and takes its p-value from the eigenvalues of the
-    kernel estimated at the fit, on a grid of ``grid_size`` levels. The
-    eigenvalues are truncated, and the tail integrated, at the defaults of
-    ``eigen_spectrum`` and ``imhof_tail``.
+    Fits the mixture at ``FitConfig``'s defaults with start seed ``seed``,
+    computes the Cramer-von Mises statistic of the transformed sample and
+    takes its p-value from the eigenvalues of the kernel estimated at the
+    fit on ``grid_size`` levels, truncated and integrated at the defaults of
+    ``eigen_spectrum`` and ``imhof_tail``: the setting the studies calibrate.
     """
-    fit = fit_mle(sample, fit_config)
+    fit = fit_mle(sample, FitConfig(seed=seed))
     w2 = cvm_statistic(pit(sample, fit.theta_hat))
     q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, grid_size)
     spectrum = eigen_spectrum(q)
@@ -151,7 +151,7 @@ def _study_window(
             sample = sample_mixture(population.theta, sample_size, s_sample)
             try:
                 if estimate_parameters:
-                    outcome = gof_test(sample, FitConfig(seed=s_fit), grid_size)
+                    outcome = gof_test(sample, s_fit, grid_size)
                     p_values.append(outcome.p_value)
                     n_spike += outcome.fit.spike
                     max_rounds = max(max_rounds, outcome.n_quantile_rounds)
@@ -180,8 +180,7 @@ def run_study(
 
     Each replication samples, fits by maximum likelihood, computes the
     statistic, builds the kernel matrix at the fitted parameters and
-    converts the statistic to a p-value. The fit runs at ``FitConfig``'s
-    defaults, the setting the acceptance studies calibrate, with only its
+    converts the statistic to a p-value, through ``gof_test`` with a fit
     seed drawn per replication. Replications whose fit or kernel
     stage fails are recorded and skipped; StudyAborted is raised when more
     than 20% fail. With ``estimate_parameters=False`` the known population

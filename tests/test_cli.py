@@ -93,7 +93,7 @@ class TestCmdTest:
         result = runner.invoke(main, ["test", "-i", pop5_file, "--seed", "3", "-m", "100"])
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
-        outcome = gof_test(Sample(read_observations(pop5_file)), FitConfig(seed=3), 100)
+        outcome = gof_test(Sample(read_observations(pop5_file)), 3, 100)
         assert report["p_value"] == outcome.p_value
         assert report["statistic"]["w2"] == outcome.w2
         assert report["fit"]["log_likelihood"] == outcome.fit.log_likelihood

@@ -180,10 +180,10 @@ class TestFitMle:
         # p = 6.8e-11, and times 1e6 or 1e8 raised; the log-scale box and the
         # Hessian's absolute step floor depend on the unit.
         sample = sample_mixture(populations[4].theta, 300, rng_seed=7)
-        unit = gof_test(sample, FitConfig(seed=1), 200)
+        unit = gof_test(sample, 1, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scaled = gof_test(Sample(sample.values * factor), FitConfig(seed=1), 200)
+            scaled = gof_test(Sample(sample.values * factor), 1, 200)
         assert abs(scaled.p_value - unit.p_value) <= tol
         if math.frexp(factor)[0] == 0.5:
             # a power-of-two unit leaves the fit exact up to the unit
@@ -230,6 +230,14 @@ class TestHessian:
         oracle = double_difference_hessian(fit.theta_hat, sample)
         scale = np.linalg.norm(oracle)
         assert np.linalg.norm(direct - oracle) < 1e-4 * scale
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0**24, 2.0**-24, 1e-6, 1e-3, 1e3, 1e6])
+    def test_equals_the_fits_hessian_in_any_unit(self, populations, factor):
+        # Both run on the sample divided by the fit's unit. Evaluated in the
+        # data's unit instead, hessian_at was 18% off the fit's at 1e-6.
+        sample = Sample(sample_mixture(populations[0].theta, 300, rng_seed=7).values * factor)
+        fit = fit_mle(sample, FitConfig(seed=1))
+        assert hessian_at(fit.theta_hat, sample).tobytes() == fit.hessian.tobytes()
 
     def test_requires_interior_p(self, populations):
         theta = MixtureParams(2, 2, 3, 3, 1.0)
@@ -670,9 +678,9 @@ print("scipy.special._special_ufuncs" in sys.modules)
     # scipy.linalg either.
     script = """
 import sys
-from wmixgof import FitConfig, benchmark_populations, gof_test, sample_mixture
+from wmixgof import benchmark_populations, gof_test, sample_mixture
 sample = sample_mixture(benchmark_populations()[4].theta, 100, rng_seed=3)
-gof_test(sample, FitConfig(seed=3), 50)
+gof_test(sample, 3, 50)
 print("scipy.linalg" in sys.modules)
 """
     assert _fresh_interpreter_output(script) == "False\n"

@@ -175,7 +175,7 @@ def study_replication_case():
     """
     s_sample, s_fit = _replication_seeds(191203423, 597)
     sample = sample_mixture(benchmark_populations()[2].theta, 100, s_sample)
-    outcome = gof_test(sample, FitConfig(seed=s_fit), 200)
+    outcome = gof_test(sample, s_fit, 200)
     return WeightedChiSquare(outcome.spectrum.retained), outcome.w2
 
 

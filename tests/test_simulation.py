@@ -84,7 +84,7 @@ class TestGofTest:
     def test_outcome_matches_the_layer_calls(self, populations):
         sample = sample_mixture(populations[4].theta, 300, rng_seed=8)
         config = FitConfig(seed=3)
-        outcome = gof_test(sample, config, 200)
+        outcome = gof_test(sample, 3, 200)
         fit = fit_mle(sample, config)
         q = build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 200)
         spectrum = eigen_spectrum(q, 1e-4)
@@ -101,7 +101,7 @@ class TestGofTest:
         study = run_study(spec, 1, 60, seed=21, grid_size=50, first_rep=3)
         s_sample, s_fit = simulation._replication_seeds(21, 3)
         sample = sample_mixture(spec.theta, 60, s_sample)
-        outcome = gof_test(sample, FitConfig(seed=s_fit), 50)
+        outcome = gof_test(sample, s_fit, 50)
         assert study.p_values.tolist() == [outcome.p_value]
 
 
@@ -119,7 +119,7 @@ class TestRunStudy:
         for rep in range(3):
             s_sample, s_fit = simulation._replication_seeds(21, rep)
             sample = sample_mixture(spec.theta, 60, s_sample)
-            rounds.append(gof_test(sample, FitConfig(seed=s_fit), 50).n_quantile_rounds)
+            rounds.append(gof_test(sample, s_fit, 50).n_quantile_rounds)
         assert study.max_quantile_rounds == max(rounds) > 1
         known = run_study(spec, 3, 60, seed=21, estimate_parameters=False)
         assert known.max_quantile_rounds == 0
