@@ -80,9 +80,21 @@ def read_observations(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _emit(report: dict, output: str | None) -> None:
+def _emit(sections: dict) -> None:
+    """Write the running command's JSON report to --output, or to stdout.
+
+    The report opens with the command's name, the version and the effective
+    parameters in declaration order, then holds ``sections``.
+    """
+    ctx = click.get_current_context()
+    config = {
+        _ECHO_NAMES.get(p.name, p.name): ctx.params[p.name]
+        for p in ctx.command.params
+        if p.name != "output"
+    }
+    report = {"command": ctx.info_name, "version": __version__, "config": config, **sections}
     text = json.dumps(report, indent=2) + "\n"
-    if output:
+    if output := ctx.params["output"]:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -112,16 +124,6 @@ def _parse_theta(text: str) -> MixtureParams:
         return MixtureParams(*(float(p) for p in parts))
     except (ValueError, DomainError) as exc:
         raise click.UsageError(f"invalid --theta: {exc}") from exc
-
-
-def _config_echo() -> dict:
-    """The running command's effective parameters, in declaration order."""
-    ctx = click.get_current_context()
-    return {
-        _ECHO_NAMES.get(p.name, p.name): ctx.params[p.name]
-        for p in ctx.command.params
-        if p.name != "output"
-    }
 
 
 seed_option = click.option(
@@ -168,16 +170,9 @@ def main():
 @seed_option
 def cmd_fit(input_path, output, seed):
     """Fit the mixture by maximum likelihood and report the parameters."""
-    sample = Sample(read_observations(input_path), label=input_path)
+    sample = Sample(read_observations(input_path))
     fit = fit_mle(sample, FitConfig(seed=seed))
-    report = {
-        "command": "fit",
-        "version": __version__,
-        "config": _config_echo(),
-        "input": {"path": input_path, "n": sample.n},
-        "fit": _fit_section(fit),
-    }
-    _emit(report, output)
+    _emit({"input": {"path": input_path, "n": sample.n}, "fit": _fit_section(fit)})
 
 
 @main.command("test")
@@ -193,13 +188,10 @@ def cmd_test(input_path, output, seed, grid_size):
     kernel eigenvalues and converts the statistic to an approximate
     p-value.
     """
-    sample = Sample(read_observations(input_path), label=input_path)
+    sample = Sample(read_observations(input_path))
     outcome = gof_test(sample, seed, grid_size)
     spectrum = outcome.spectrum
-    report = {
-        "command": "test",
-        "version": __version__,
-        "config": _config_echo(),
+    _emit({
         "input": {"path": input_path, "n": sample.n},
         "fit": _fit_section(outcome.fit),
         "statistic": {"w2": outcome.w2},
@@ -212,8 +204,7 @@ def cmd_test(input_path, output, seed, grid_size):
         },
         "p_value": outcome.p_value,
         "diagnostics": {"quantile_rounds": outcome.n_quantile_rounds},
-    }
-    _emit(report, output)
+    })
 
 
 @main.command("simulate")
@@ -245,10 +236,7 @@ def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta
     else:
         spec = benchmark_populations()[population - 1]
     result = run_study(spec, n_reps, sample_size, seed, grid_size=grid_size, processes=processes)
-    report = {
-        "command": "simulate",
-        "version": __version__,
-        "config": _config_echo(),
+    _emit({
         "population": {"label": spec.label, **dataclasses.asdict(spec.theta)},
         "n_reps": n_reps,
         "sample_size": sample_size,
@@ -260,8 +248,7 @@ def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta
         "ad_p_value": result.ad_p_value,
         "rejection_rate_5pct": float(np.mean(result.p_values < 0.05)),
         "p_values": [float(v) for v in result.p_values],
-    }
-    _emit(report, output)
+    })
 
 
 @main.command("eigen-check")
@@ -283,13 +270,7 @@ def cmd_eigen_check(output, grid_size):
                 "relative_error": abs(estimate - exact[j]) / exact[j],
             }
         )
-    report = {
-        "command": "eigen-check",
-        "version": __version__,
-        "config": _config_echo(),
-        "rows": rows,
-    }
-    _emit(report, output)
+    _emit({"rows": rows})
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ class TooFewObservations(WmixgofError):
 
 
 class AllStartsFailed(WmixgofError):
-    """Every optimization start diverged or ended on the mixing boundary."""
+    """Every optimization start ended at the objective's sentinel or on the mixing boundary."""
 
     stage = "fit"
 

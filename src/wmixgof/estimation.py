@@ -100,7 +100,8 @@ class FitResult:
 
     ``best_of_likelihoods`` lists the local optima of the admissible
     (interior) starts in start order; the reported ``log_likelihood`` is
-    their maximum. Starts that ended on the mixing boundary are counted in
+    their maximum. Starts that failed, on the mixing boundary or at the
+    objective's sentinel (a non-finite log-likelihood), are counted in
     ``n_boundary_starts`` instead. ``boundary_proximity`` flags a reported
     proportion outside [0.05, 0.95]. ``n_rounds`` counts the lockstep
     evaluation rounds of all starts and ``n_evaluations`` the parameter rows
@@ -384,7 +385,8 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     """Best interior local maximum of the likelihood over all starts.
 
     Raises TooFewObservations below 20 points and AllStartsFailed when
-    every start diverged or finished with the mixing proportion outside
+    every start was left at the objective's sentinel (a non-finite
+    log-likelihood) or finished with the mixing proportion outside
     [0.001, 0.999]. Deterministic for a fixed (sample, config) pair. The
     fit runs on the sample divided by ``_unit(sample)``, and ``hessian`` is
     ``hessian_at(theta_hat, sample)``.
@@ -398,22 +400,18 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     x = sample.values / unit
     logx = np.log(x)
     starts = _starting_points(x, config)
-    admissible = []
-    n_boundary = 0
     # setulb calls BLAS on vectors of four or five entries, yet scipy's
     # OpenBLAS hands them to its thread pool, whose threads go on spinning
     # after the fit and slow whatever runs next. The iterates do not depend
     # on the thread count.
     with _native.one_blas_thread("scipy"):
         optima, n_rounds, n_evaluations = _optimize_starts(logx, starts, config)
-    for th, ll in optima:
-        if not math.isfinite(ll):
-            n_boundary += 1
-            continue
-        if _P_ADMISSIBLE[0] <= th[4] <= _P_ADMISSIBLE[1]:
-            admissible.append((th, ll))
-        else:
-            n_boundary += 1
+    # a start left where the log-likelihood is not finite reports -_HUGE_NLL
+    admissible = [
+        (th, ll)
+        for th, ll in optima
+        if ll > -_HUGE_NLL and _P_ADMISSIBLE[0] <= th[4] <= _P_ADMISSIBLE[1]
+    ]
     if not admissible:
         raise AllStartsFailed(
             f"all {len(starts)} starts diverged or ended on the mixing boundary"
@@ -431,7 +429,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
         converged=converged,
         n_starts_used=len(starts),
         best_of_likelihoods=[ll - ll_shift for _, ll in admissible],
-        n_boundary_starts=n_boundary,
+        n_boundary_starts=len(optima) - len(admissible),
         boundary_proximity=not (_P_FLAG[0] <= theta_hat.p <= _P_FLAG[1]),
         n_rounds=n_rounds,
         n_evaluations=n_evaluations,

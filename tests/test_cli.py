@@ -113,6 +113,17 @@ class TestCmdTest:
         assert "error: parse:" in result.output
         assert "line 31" in result.output
 
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    @pytest.mark.parametrize(
+        "text", ["# comment only\n\n# another\n", "value\n"], ids=["comments", "header"]
+    )
+    def test_file_without_observations_exits_2(self, runner, tmp_path, command, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        result = runner.invoke(main, [command, "-i", str(path)])
+        assert result.exit_code == 2
+        assert f"error: parse: no observations found in {path}" in result.output
+
     def test_too_few_observations_exits_3(self, runner, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("\n".join(str(v) for v in np.linspace(1, 2, 10)) + "\n")
@@ -280,6 +291,9 @@ class TestCmdSimulate:
     def test_bad_theta_exits_2(self, runner):
         result = runner.invoke(main, ["simulate", "--theta", "1,2,3", "--n-reps", "1"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["simulate", "--theta", "0,1,1,1,0.5", "--n-reps", "1"])
+        assert result.exit_code == 2
+        assert "invalid --theta" in result.output
 
     def test_process_count_leaves_the_report_unchanged(self, runner):
         args = ["simulate", "--population", "5", "--n-reps", "4", "--sample-size", "60"]
@@ -385,7 +399,11 @@ class TestConfigEcho:
     def test_keys_in_order(self, runner, pop5_file, args, keys):
         result = runner.invoke(main, [a.format(data=pop5_file) for a in args])
         assert result.exit_code == 0, result.output
-        assert list(json.loads(result.output)["config"]) == keys
+        report = json.loads(result.output)
+        # every report opens with the same header, named for its command
+        assert list(report)[:3] == ["command", "version", "config"]
+        assert report["command"] == args[0]
+        assert list(report["config"]) == keys
 
 
 class TestOptionSet:

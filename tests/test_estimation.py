@@ -170,6 +170,40 @@ class TestFitMle:
         with pytest.raises(AllStartsFailed):
             fit_mle(sample, FitConfig(n_starts=3))
 
+    @staticmethod
+    def _sentinel_start(sample):
+        """A start whose row has a -inf log-likelihood in the fit's unit.
+
+        Shapes 5000 and scales below every observation overflow (x/b)**a at
+        every point: the objective reads its sentinel there with a zero
+        gradient, so the start never leaves that point.
+        """
+        x = sample.values / estimation._unit(sample)
+        dead = np.array([5000.0, 5000.0, 0.5 * x[0], 0.5 * x[0], 0.5])
+        assert estimation._evaluate(np.log(x), dead[None, :])[0][0] == -math.inf
+        return dead
+
+    def test_a_start_left_at_the_sentinel_fails(self, populations, monkeypatch):
+        sample = sample_mixture(populations[0].theta, 100, rng_seed=3)
+        dead = self._sentinel_start(sample)
+        monkeypatch.setattr(estimation, "_starting_points", lambda x, config: [dead])
+        with pytest.raises(AllStartsFailed):
+            fit_mle(sample)
+
+    def test_a_start_left_at_the_sentinel_is_counted_not_kept(self, populations, monkeypatch):
+        sample = sample_mixture(populations[0].theta, 100, rng_seed=3)
+        config = FitConfig(n_starts=4, seed=3)
+        dead = self._sentinel_start(sample)
+        fit = fit_mle(sample, config)
+        starting_points = estimation._starting_points
+        monkeypatch.setattr(
+            estimation, "_starting_points", lambda x, config: starting_points(x, config) + [dead]
+        )
+        with_dead = fit_mle(sample, config)
+        assert with_dead.n_boundary_starts == fit.n_boundary_starts + 1
+        assert with_dead.best_of_likelihoods == fit.best_of_likelihoods
+        assert with_dead.theta_hat == fit.theta_hat
+
     @pytest.mark.parametrize(
         "factor, tol",
         [(f, 1e-6) for f in (1e-6, 1e-4, 1e3, 1e5, 1e6, 1e8)] + [(2.0**24, 1e-12), (2.0**-24, 1e-12)],
@@ -400,7 +434,7 @@ def _ref_fit(sample, config, row):
     for theta0 in estimation._starting_points(x, config):
         th, ll, n_evaluations = _ref_optimize_start(row, theta0, config)
         per_start.append(n_evaluations)
-        if math.isfinite(ll) and 0.001 <= th[4] <= 0.999:
+        if ll > -estimation._HUGE_NLL and 0.001 <= th[4] <= 0.999:
             admissible.append((th, ll))
         else:
             n_boundary += 1

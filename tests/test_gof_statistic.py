@@ -122,8 +122,9 @@ class TestAdStatistic:
             ad_statistic_uniform([0.5, 1.0])
 
     def test_rejects_values_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            ad_statistic_uniform([0.5, 1.5])
+        for u in ([0.5, 1.5], []):
+            with pytest.raises(DomainError):
+                ad_statistic_uniform(u)
 
 
 class TestAdPvalue:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wmixgof import (
     DomainError,
+    EigenSolverFailure,
     FitConfig,
     MixtureParams,
     NonFiniteKernel,
@@ -261,6 +262,13 @@ class TestBuildQMatrix:
         with pytest.raises(DomainError):
             build_q_matrix(fit.theta_hat, fit.hessian, sample.n, 1)
 
+    def test_rejects_empty_sample_or_wrong_hessian_shape(self, fitted_pop1):
+        sample, fit = fitted_pop1
+        with pytest.raises(DomainError):
+            build_q_matrix(fit.theta_hat, fit.hessian, 0, 20)
+        with pytest.raises(DomainError):
+            build_q_matrix(fit.theta_hat, fit.hessian[:4, :4], sample.n, 20)
+
     def test_peak_memory_is_no_matrix_at_m_1000(self, fits_n1000):
         # The build keeps the 5-by-m factor and allocates no m-by-m array
         # (8 MB); it peaks at about 0.15 MB. Filling the kernel in one
@@ -393,6 +401,14 @@ class TestEigenSpectrum:
     def test_rejects_non_finite_eigenvalues(self):
         with pytest.raises(NonFiniteKernel):
             kernel_eigen._spectrum(np.array([1.0, np.nan]), tail_tolerance=1e-4)
+
+    def test_rejects_a_spectrum_without_positive_eigenvalues(self):
+        with pytest.raises(EigenSolverFailure):
+            kernel_eigen._spectrum(np.array([-1.0, 0.0]), tail_tolerance=0.0)
+
+    def test_rejects_tail_tolerance_of_one(self):
+        with pytest.raises(DomainError):
+            eigen_spectrum(brownian_bridge_q(10), 1.0)
 
     def test_solver_is_numpys_own_lapack(self):
         if _native.openblas("numpy") is None:

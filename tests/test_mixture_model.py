@@ -54,6 +54,10 @@ class TestMixtureParams:
         with pytest.raises(DomainError):
             MixtureParams(1, 1, 1, 1, 1.5)
 
+    def test_rejects_non_finite_parameters(self):
+        with pytest.raises(DomainError):
+            MixtureParams(math.inf, 1, 1, 1, 0.5)
+
     def test_degenerate_p_accepted(self):
         assert MixtureParams(1, 1, 1, 1, 1.0).p in (0.0, 1.0)
 
@@ -75,6 +79,10 @@ class TestSample:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             Sample([])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(DomainError):
+            Sample([1.0, math.nan])
 
 
 class TestMixturePdf:

@@ -178,6 +178,8 @@ class TestRunStudy:
             run_study(populations[0], 10, 100, seed=1, processes=0)
         with pytest.raises(DomainError):
             run_study(populations[0], 10, 100, seed=-1)
+        with pytest.raises(DomainError):
+            run_study(populations[0], 10, 100, seed=1, first_rep=-1)
 
     def test_replication_seeds_order_insensitive(self):
         first = simulation._replication_seeds(123, 7)
@@ -202,11 +204,12 @@ class TestRunStudy:
 
     # At n=20 some fits of this nearly one-component population leave -H/n
     # indefinite, and build_q_matrix's positive-definiteness gate fails them
-    # (SingularInformation); ROADMAP item 1, the information from Psi, removes
-    # that gate. Seed 4 fails replication 14: 1 of replications 10-17, so the
-    # study stands, although 1 of 4 in the second of two windows. Seed 1 fails
-    # replication 5: 1 of replications 2-5, so the study aborts, although the
-    # first of two windows has no failure.
+    # (SingularInformation); ROADMAP item 1, the expected information at the
+    # fit, stays positive definite and passes that gate. Seed 4 fails
+    # replication 14: 1 of replications 10-17, so the study stands, although
+    # 1 of 4 in the second of two windows. Seed 1 fails replication 5: 1 of
+    # replications 2-5, so the study aborts, although the first of two
+    # windows has no failure.
     @pytest.mark.parametrize("seed, first_rep, n_reps", [(4, 10, 8), (1, 2, 4)], ids=["4", "1"])
     def test_process_count_keeps_failures_and_the_abort_decision(self, seed, first_rep, n_reps):
         spec = PopulationSpec(MixtureParams(2.0, 2.0, 1.0, 3.0, 0.001))
