@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 
 import click
@@ -126,6 +127,15 @@ def _parse_theta(text: str) -> MixtureParams:
         raise click.UsageError(f"invalid --theta: {exc}") from exc
 
 
+def _output_directory(ctx, param, value):
+    """Fail before the run if the report could not be created at --output."""
+    folder = os.path.dirname(value or "") or "."
+    if value and not os.path.exists(value) and not os.access(folder, os.W_OK | os.X_OK):
+        why = "is not writable" if os.path.isdir(folder) else "does not exist"
+        raise click.BadParameter(f"directory {folder!r} {why}")
+    return value
+
+
 seed_option = click.option(
     "--seed",
     type=click.IntRange(min=0),
@@ -134,7 +144,8 @@ seed_option = click.option(
     help="Master seed.",
 )
 output_option = click.option(
-    "--output", "-o", type=click.Path(dir_okay=False), default=None, help="Write the JSON report here instead of stdout."
+    "--output", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
+    callback=_output_directory, help="Write the JSON report here instead of stdout.",
 )
 input_option = click.option("--input", "-i", "input_path", required=True, type=click.Path())
 

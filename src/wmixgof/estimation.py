@@ -420,7 +420,7 @@ def fit_mle(sample: Sample, config: FitConfig | None = None) -> FitResult:
     # Back to the data's unit: the scales by unit, each density by 1/unit.
     theta_hat = MixtureParams.from_array(th_best * [1.0, 1.0, unit, unit, 1.0])
     ll_shift = sample.n * math.log(unit)
-    grad, hess = _score_and_hessian(theta_hat, sample)
+    grad, hess = _score_and_hessian(theta_hat, logx, unit)
     converged = bool(np.max(np.abs(grad)) < config.tolerance * sample.n)
     return FitResult(
         theta_hat=theta_hat,
@@ -452,18 +452,19 @@ def hessian_at(theta: MixtureParams, sample: Sample) -> np.ndarray:
     h_j = max(1e-5, 1e-5 * |theta_j|) per coordinate (shrunk if needed to
     stay inside the parameter space), symmetrized and mapped to the data's unit.
     """
-    return _score_and_hessian(theta, sample)[1]
+    unit = _unit(sample)
+    return _score_and_hessian(theta, np.log(sample.values / unit), unit)[1]
 
 
-def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
+def _score_and_hessian(theta: MixtureParams, logx: np.ndarray, unit: float) -> tuple:
     """Score in the fit's unit, where ``fit_mle`` tests it, and ``hessian_at``'s Hessian.
 
-    theta and its ten shifted rows are evaluated as one batch on the sample
-    and theta's scales divided by ``_unit(sample)``.
+    theta and its ten shifted rows are evaluated as one batch on ``logx``,
+    the log of the sample divided by ``unit``, with theta's scales divided
+    by ``unit``.
     """
     if not 0.0 < theta.p < 1.0:
         raise DomainError("Hessian requires an interior mixing proportion")
-    unit = _unit(sample)
     per_unit = np.array([1.0, 1.0, 1.0 / unit, 1.0 / unit, 1.0])
     th = theta.as_array() * per_unit
     h = np.maximum(1e-5, 1e-5 * np.abs(th))
@@ -473,7 +474,7 @@ def _score_and_hessian(theta: MixtureParams, sample: Sample) -> tuple:
     for j in range(5):
         rows[2 * j + 1, j] += h[j]
         rows[2 * j + 2, j] -= h[j]
-    score = _evaluate(np.log(sample.values / unit), rows)[1]
+    score = _evaluate(logx, rows)[1]
     hess = (score[1::2] - score[2::2]).T / (2.0 * h)
     with np.errstate(over="ignore"):
         hess = per_unit[:, None] * (0.5 * (hess + hess.T)) * per_unit

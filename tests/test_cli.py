@@ -17,6 +17,7 @@ from wmixgof import (
     sample_mixture,
 )
 from wmixgof.cli import main, read_observations, DataFileError
+import wmixgof.cli as cli
 import wmixgof.estimation as estimation
 import wmixgof.imhof as imhof
 import wmixgof.kernel_eigen as kernel_eigen
@@ -329,7 +330,7 @@ class TestCmdEigenCheck:
 class TestExitCodes:
     @pytest.mark.parametrize("args", [["fit"], ["test", "-m", "50"]], ids=["fit", "test"])
     def test_non_finite_hessian_exits_3(self, runner, pop5_file, monkeypatch, args):
-        def non_finite(theta, sample):
+        def non_finite(*_):
             raise NonFiniteHessian("forced")
 
         monkeypatch.setattr(estimation, "_score_and_hessian", non_finite)
@@ -377,6 +378,27 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "Invalid value for" in result.output
         assert f"'{args[-2]}'" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [["fit"], ["test"], ["simulate", "--population", "1"], ["eigen-check"]],
+        ids=lambda args: args[0],
+    )
+    def test_output_in_a_missing_directory_exits_2_before_the_run(
+        self, runner, pop5_file, tmp_path, monkeypatch, args
+    ):
+        def must_not_run(*_, **__):
+            raise AssertionError("the run started")
+
+        for name in ("fit_mle", "gof_test", "run_study", "eigen_spectrum"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        output = tmp_path / "missing" / "r.json"
+        inputs = ["-i", pop5_file] if args[0] in ("fit", "test") else []
+        result = runner.invoke(main, args + inputs + ["-o", str(output)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--output'" in result.output
+        assert "Traceback" not in result.output
+        assert not output.exists() and not output.parent.exists()
 
 
 class TestConfigEcho:

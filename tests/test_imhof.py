@@ -58,9 +58,13 @@ class TestImhofTail:
         assert p == pytest.approx(0.05, abs=1e-4)
 
     def test_single_weight_matches_chi_square(self):
-        for x in (0.1, 0.5, 1.0, 2.0, 5.0, 9.0):
-            p = imhof_tail(WeightedChiSquare([1.0]), x)
-            assert p == pytest.approx(chi2.sf(x, 1), abs=2e-6)
+        # one weight makes the modulus U explode, so U comes from the
+        # cancellation bound; the error includes the truncation share
+        one = WeightedChiSquare([1.0])
+        for x in (1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 9.0, 10.0, 40.0):
+            assert abs(imhof_tail(one, x) - chi2.sf(x, 1)) <= 1e-6
+        for x in (1e-6, 1e-3, 0.1):
+            assert abs(imhof_tail(one, x, 1e-9) - chi2.sf(x, 1)) <= 1e-9
 
     def test_classical_cvm_five_percent_point(self):
         lam = WeightedChiSquare(simple_hypothesis_lambdas(100))
@@ -142,8 +146,10 @@ def quad_reference(dist, x, tol=1e-6):
     lam = dist.lambdas / dist.lambdas[0]
     xs = x / dist.lambdas[0]
     upper = imhof._truncation_point(lam, xs, 0.5 * tol)
-    f = imhof._integrand_factory(lam, xs)
-    val, _ = quad(lambda u: f(np.array([u]))[0], 0.0, upper, epsabs=1e-12, epsrel=0.0, limit=10000)
+    val, _ = quad(
+        lambda u: imhof._integrand(lam, xs, np.array([u]))[0],
+        0.0, upper, epsabs=1e-12, epsrel=0.0, limit=10000,
+    )
     return 0.5 + val / math.pi
 
 
@@ -196,19 +202,28 @@ def fitted_1000_case():
 def counted_passes(monkeypatch):
     """Patch the integrand so each call appends to the list's last count."""
     passes = []
-    factory = imhof._integrand_factory
+    integrand = imhof._integrand
 
-    def counting(lam, x):
-        f = factory(lam, x)
+    def counting(lam, x, u):
+        passes[-1] += 1
+        return integrand(lam, x, u)
 
-        def integrand(u):
-            passes[-1] += 1
-            return f(u)
-
-        return integrand
-
-    monkeypatch.setattr(imhof, "_integrand_factory", counting)
+    monkeypatch.setattr(imhof, "_integrand", counting)
     return passes
+
+
+class TestTruncationPoint:
+    def test_modulus_bound_chosen_on_the_benchmarks_spectra(self, fitted_pop1):
+        # U below u* = 2 sqrt(sum(1/lambda) / x) can only be the modulus
+        # bound, since the cancellation bound starts at max(u*, 1)
+        bridge = WeightedChiSquare(simple_hypothesis_lambdas(100))
+        cases = [(bridge, x) for x in known_parameter_statistics(5)]
+        cases += fitted_cases([fitted_pop1])[:1]
+        for dist, x in cases:
+            lam = dist.lambdas / dist.lambdas[0]
+            xs = x / dist.lambdas[0]
+            u_star = 2.0 * math.sqrt(float(np.sum(1.0 / lam)) / xs)
+            assert imhof._truncation_point(lam, xs, 0.5e-6) < u_star
 
 
 class TestQuadrature:
