@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .errors import (
     AllStartsFailed,
     ConvergenceError,
-    DegenerateInput,
     DomainError,
     EigenSolverFailure,
     NonFiniteHessian,
@@ -41,7 +40,6 @@ __all__ = [
     "__version__",
     "AllStartsFailed",
     "ConvergenceError",
-    "DegenerateInput",
     "DomainError",
     "EigenSolverFailure",
     "FitConfig",

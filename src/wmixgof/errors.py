@@ -50,10 +50,6 @@ class NonFiniteKernel(WmixgofError):
     stage = "kernel"
 
 
-class DegenerateInput(WmixgofError, ValueError):
-    """Input contains values at which a statistic is undefined."""
-
-
 class SingularInformation(WmixgofError):
     """The estimated information matrix is not positive definite."""
 

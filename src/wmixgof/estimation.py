@@ -28,7 +28,7 @@ and ``lgamma`` for the moment starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,11 +113,11 @@ class FitResult:
     hessian: np.ndarray
     converged: bool
     n_starts_used: int
-    best_of_likelihoods: list = field(default_factory=list)
-    n_boundary_starts: int = 0
-    boundary_proximity: bool = False
-    n_rounds: int = 0
-    n_evaluations: int = 0
+    best_of_likelihoods: list
+    n_boundary_starts: int
+    boundary_proximity: bool
+    n_rounds: int
+    n_evaluations: int
 
     @property
     def spike(self) -> bool:
@@ -196,10 +196,9 @@ def _evaluate(logx: np.ndarray, thetas: np.ndarray) -> tuple:
         not_finite = ~np.isfinite(ll)
         if not_finite.any():
             # nan weights arise only where log f is nan
-            for i in np.flatnonzero(not_finite):
-                nan = np.isnan(w[0, i])
-                resp[i] = np.where(nan, 0.5, w[0, i]).sum()
-                w[:, i, nan] = 0.0
+            nan = np.isnan(w[0])
+            resp = np.where(nan, 0.5, w[0]).sum(axis=1)
+            w[:, nan] = 0.0
             ll[not_finite] = -math.inf
         np.einsum("ckn,ck->k", w, p_coef[..., 0], out=score[4])
         # the score factors 1/a + lx (1 - u) and (a/b)(u - 1), in place

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInput, DomainError
+from .errors import DomainError
 from .mixture_model import MixtureParams, Sample, mixture_cdf
 
 __all__ = ["pit", "cvm_statistic", "ad_statistic_uniform", "ad_uniformity_pvalue"]
@@ -49,14 +49,16 @@ def ad_statistic_uniform(u) -> float:
 
     A2 = -n - (1/n) sum_i (2i-1) * [log u_(i) + log(1 - u_(n+1-i))] over
     the sorted values. Permutation-invariant; the input is sorted here.
+    Values must lie in [0, 1]. They are clipped to [1e-12, 1 - 1e-12], so
+    that exact 0 and 1 keep the logs finite; clipping this far out is
+    invisible at any realistic count of values.
     """
     v = np.sort(np.asarray(u, dtype=float).ravel())
     if v.size == 0:
         raise DomainError("need at least one value")
     if not np.all(np.isfinite(v)) or v[0] < 0.0 or v[-1] > 1.0:
         raise DomainError("values must lie in [0, 1]")
-    if v[0] == 0.0 or v[-1] == 1.0:
-        raise DegenerateInput("Anderson-Darling statistic is undefined at 0 or 1")
+    v = np.clip(v, 1e-12, 1.0 - 1e-12)
     n = v.size
     weights = 2.0 * np.arange(1, n + 1) - 1.0
     s = float(np.sum(weights * (np.log(v) + np.log1p(-v[::-1]))))

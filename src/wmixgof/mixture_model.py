@@ -22,7 +22,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "MixtureParams",
     "Sample",
-    "mixture_pdf",
     "mixture_cdf",
     "invert_cdf",
     "cdf_gradients",
@@ -138,22 +137,9 @@ class _Components:
             return np.sum(self.w * f, axis=0)
 
 
-def mixture_pdf(x, theta: MixtureParams):
-    """Mixture density p*f1 + (1-p)*f2 at x > 0.
-
-    Accepts a scalar or an array; returns a float for scalar input.
-    """
-    d = _Components(_as_positive(x), theta).pdf()
-    return float(d) if np.ndim(x) == 0 else d
-
-
 def mixture_cdf(x, theta: MixtureParams):
-    """Mixture distribution function at x > 0.
-
-    Accepts a scalar or an array; returns a float for scalar input.
-    """
-    c = _Components(_as_positive(x), theta).cdf()
-    return float(c) if np.ndim(x) == 0 else c
+    """Mixture distribution function at x > 0, of a scalar or an array."""
+    return _Components(_as_positive(x), theta).cdf()
 
 
 def invert_cdf(levels, theta: MixtureParams) -> tuple[np.ndarray, int]:

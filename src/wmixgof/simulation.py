@@ -31,12 +31,8 @@ __all__ = [
     "run_study",
 ]
 
-# Exact p-values of 0 or 1 cannot enter the Anderson-Darling logs; clipping
-# this far out is invisible at any realistic replication count.
-_P_CLIP = 1e-12
-
 # Closed-form Brownian bridge weights used when the parameters are known.
-_N_SIMPLE_LAMBDAS = 100
+_BRIDGE_WEIGHTS = WeightedChiSquare(simple_hypothesis_lambdas(100))
 
 
 @dataclass(frozen=True)
@@ -140,9 +136,6 @@ def _study_window(
     from about ``grid_size=300``, do not depend on where it runs; the count
     is restored afterwards.
     """
-    known_lambdas = None
-    if not estimate_parameters:
-        known_lambdas = WeightedChiSquare(simple_hypothesis_lambdas(_N_SIMPLE_LAMBDAS))
     p_values = []
     n_failed = n_spike = max_rounds = 0
     with _native.one_blas_thread("numpy"):
@@ -157,7 +150,7 @@ def _study_window(
                     max_rounds = max(max_rounds, outcome.n_quantile_rounds)
                 else:
                     w2 = cvm_statistic(pit(sample, population.theta))
-                    p_values.append(imhof_tail(known_lambdas, w2))
+                    p_values.append(imhof_tail(_BRIDGE_WEIGHTS, w2))
             except WmixgofError as exc:
                 if exc.stage is None:
                     raise
@@ -240,7 +233,7 @@ def run_study(
     p_arr = np.sort(np.asarray([p for ps in p_lists for p in ps], dtype=float))
     ad_stat = ad_pval = None
     if p_arr.size >= 2:
-        ad_stat = ad_statistic_uniform(np.clip(p_arr, _P_CLIP, 1.0 - _P_CLIP))
+        ad_stat = ad_statistic_uniform(p_arr)
         ad_pval = ad_uniformity_pvalue(ad_stat)
     p_arr.setflags(write=False)
     return StudyResult(

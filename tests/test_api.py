@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 
 import wmixgof
 import wmixgof.cli  # noqa: F401  (makes the submodule an attribute, as perfbench sees it)
@@ -14,7 +15,6 @@ def test_public_names_are_pinned():
     assert sorted(wmixgof.__all__) == [
         "AllStartsFailed",
         "ConvergenceError",
-        "DegenerateInput",
         "DomainError",
         "EigenSolverFailure",
         "FitConfig",
@@ -128,3 +128,47 @@ def test_native_code_is_reached_through_one_module():
                 native.add(filename)
     assert native == {"_native.py"}
     assert private == []
+
+
+def _used_names(path, skip_reexports):
+    """Names the module at ``path`` loads, reads as attributes or imports.
+
+    With ``skip_reexports``, for the package's ``__init__``, imports do not count.
+    """
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not skip_reexports:
+            used.update(alias.name.split(".")[-1] for alias in node.names)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # A public name must be used outside the tests: by the package itself,
+    # by perfbench or in the README. Definitions and __all__ entries are no
+    # use, since they are not loads, and neither are __init__'s re-exports.
+    package = os.path.dirname(os.path.abspath(wmixgof.__file__))
+    modules = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py"))
+    public = {("wmixgof", name) for name in wmixgof.__all__}
+    for module in modules:
+        if module != "__init__":
+            names = getattr(importlib.import_module(f"wmixgof.{module}"), "__all__", [])
+            public |= {(f"wmixgof.{module}", name) for name in names}
+    used = set()
+    for module in modules:
+        used |= _used_names(os.path.join(package, f"{module}.py"), module == "__init__")
+    for script in sorted(f for f in os.listdir(PERFBENCH) if f.endswith(".py")):
+        used |= _used_names(os.path.join(PERFBENCH, script), False)
+    with open(os.path.join(os.path.dirname(PERFBENCH), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in public
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+    )
+    assert unused == []

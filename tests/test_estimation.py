@@ -25,7 +25,7 @@ from wmixgof import (
 )
 import wmixgof._native as _native
 import wmixgof.estimation as estimation
-from wmixgof.mixture_model import invert_cdf, mixture_cdf, mixture_pdf
+from wmixgof.mixture_model import _Components, invert_cdf, mixture_cdf
 from wmixgof.simulation import _replication_seeds
 from conftest import _fresh_interpreter_output, _outputs_under_blas_threads
 
@@ -85,11 +85,14 @@ class TestLogLikelihood:
         # quadrature oracle: E[log f] and Var[log f] under the model
         theta = populations[0].theta
         hi = float(invert_cdf(np.array([1 - 1e-10]), theta)[0][0])
-        mean_lf, _ = quad(
-            lambda x: mixture_pdf(x, theta) * math.log(mixture_pdf(x, theta)), 0, hi, limit=200
-        )
+
+        def pdf(x):
+            # the density the quantile solver's Newton step uses
+            return _Components(x, theta).pdf()
+
+        mean_lf, _ = quad(lambda x: pdf(x) * math.log(pdf(x)), 0, hi, limit=200)
         second, _ = quad(
-            lambda x: mixture_pdf(x, theta) * math.log(mixture_pdf(x, theta)) ** 2,
+            lambda x: pdf(x) * math.log(pdf(x)) ** 2,
             0,
             hi,
             limit=200,
@@ -236,6 +239,20 @@ class TestFitMle:
         assert fit.theta_hat.beta2 > 1e306
         with pytest.raises(NonFiniteHessian):
             fit_mle(Sample(values * 1e-300), FitConfig(seed=1))
+
+    def test_tied_lower_part_takes_the_zero_spread_start(self):
+        # the lowest 30% of the points has no spread, so the first moment
+        # start gives that part shape 20; the fit ends on a spike at 1.0,
+        # its shape on the edge exp(12) of the optimizer's box
+        rng = np.random.default_rng(1)
+        sample = Sample(np.concatenate([np.ones(40), 1.0 + rng.weibull(2.0, 60)]))
+        assert estimation._starting_points(sample.values, FitConfig())[0][0] == 20.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_mle(sample)
+        assert fit.spike
+        assert fit.theta_hat.alpha1 == pytest.approx(math.exp(12.0))
+        assert fit.theta_hat.beta1 == pytest.approx(1.0)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import quad
 
 from wmixgof import (
-    DegenerateInput,
     DomainError,
     FitConfig,
     MixtureParams,
@@ -115,11 +114,9 @@ class TestAdStatistic:
         shuffled = rng.permutation(u)
         assert ad_statistic_uniform(u) == pytest.approx(ad_statistic_uniform(shuffled), rel=1e-12)
 
-    def test_degenerate_endpoints_raise(self):
-        with pytest.raises(DegenerateInput):
-            ad_statistic_uniform([0.0, 0.5])
-        with pytest.raises(DegenerateInput):
-            ad_statistic_uniform([0.5, 1.0])
+    def test_endpoints_are_clipped(self):
+        assert ad_statistic_uniform([0.0, 0.5]) == ad_statistic_uniform([1e-12, 0.5])
+        assert ad_statistic_uniform([0.5, 1.0]) == ad_statistic_uniform([0.5, 1.0 - 1e-12])
 
     def test_rejects_values_outside_unit_interval(self):
         for u in ([0.5, 1.5], []):

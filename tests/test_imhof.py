@@ -340,6 +340,12 @@ class TestQuadrature:
         outputs = _outputs_under_blas_threads(script)
         assert outputs[0] == outputs[1] != ""
 
+    @pytest.mark.parametrize("x", [0.1, 0.5, 3.5])
+    def test_exhausted_refinement_rounds_raise(self, monkeypatch, x):
+        monkeypatch.setattr(imhof, "_MAX_ROUNDS", 1)
+        with pytest.raises(QuadratureFailure, match="panel refinement did not converge"):
+            imhof_tail(WeightedChiSquare(simple_hypothesis_lambdas(100)), x, tol=1e-12)
+
     def test_exhausted_node_budget_raises(self, monkeypatch):
         monkeypatch.setattr(imhof, "_MAX_NODES", 10)
         with pytest.raises(QuadratureFailure, match="node budget exhausted") as info:

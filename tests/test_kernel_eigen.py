@@ -410,6 +410,20 @@ class TestEigenSpectrum:
         with pytest.raises(DomainError):
             eigen_spectrum(brownian_bridge_q(10), 1.0)
 
+    def test_solver_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(_native, "dsyevd", lambda: lambda *args: 3)
+        with pytest.raises(EigenSolverFailure, match="info 3"):
+            eigen_spectrum(brownian_bridge_q(10))
+
+    def test_fallback_solver_failure_raises(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(_native, "dsyevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigenSolverFailure, match="did not converge"):
+            eigen_spectrum(brownian_bridge_q(10))
+
     def test_solver_is_numpys_own_lapack(self):
         if _native.openblas("numpy") is None:
             pytest.skip("numpy bundles no OpenBLAS here")
@@ -463,6 +477,14 @@ for m in (500, 1500):
 
 
 class TestKernelMatrixType:
+    def test_rejects_a_grid_below_two(self):
+        # brownian_bridge_q checks first; at m=-1 np.zeros would raise a plain ValueError
+        for m in (1, -1):
+            with pytest.raises(DomainError):
+                brownian_bridge_q(m)
+        with pytest.raises(DomainError):
+            KernelMatrix(m=1, factor=np.zeros((0, 1)))
+
     def test_rejects_wrong_shape(self):
         for shape in [(3,), (5, 2), (1, 5, 3)]:
             with pytest.raises(DomainError):
