@@ -3,7 +3,7 @@
 scipy's L-BFGS-B routine ``setulb`` loads by file on the first fit, so a
 caller that never fits loads no scipy. The scipy-openblas builds bundled
 with numpy and scipy give their thread counts and, for numpy's, the LAPACKE
-``dsyevd`` of the kernel eigensolve. Each binding is looked up once per
+``dsyevd`` that ``eigvalsh_upper`` calls. Each binding is looked up once per
 process and is None where the library or symbol is missing. Thread counts
 follow one rule, ``one_blas_thread``: one thread for a block, then the count
 found before it.
@@ -17,9 +17,7 @@ import os
 from contextlib import contextmanager
 from functools import cache
 
-# LAPACKE's column-major layout: a C-ordered symmetric matrix is handed over
-# as is, so the solver sees its transpose, the same matrix.
-LAPACK_COL_MAJOR = 102
+import numpy as np
 
 
 def _scipy_extension(package: str, module: str):
@@ -132,3 +130,22 @@ def dsyevd():
     ]
     solver.restype = ctypes.c_int64
     return solver
+
+
+def eigvalsh_upper(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric matrix in the upper triangle of ``a``.
+
+    ``dsyevd`` overwrites the C-ordered float64 array ``a``: handed over in
+    LAPACKE's column-major layout (102), its upper triangle is the lower
+    one ('L') of the transpose the solver sees. Without the binding, eigvalsh
+    reads ``a.T`` the same way, on a copy. Raises np.linalg.LinAlgError.
+    """
+    solver = dsyevd()
+    if solver is None:
+        return np.linalg.eigvalsh(a.T)
+    m = a.shape[0]
+    lam = np.empty(m)
+    info = solver(102, b"N", b"L", m, a.ctypes.data, m, lam.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd info {info}")
+    return lam

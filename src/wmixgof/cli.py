@@ -27,9 +27,6 @@ from .simulation import PopulationSpec, benchmark_populations, gof_test, run_stu
 
 _STAGE_EXITS = {"parse": 2, "fit": 3, "simulate": 3, "kernel": 4}
 
-# Parameters echoed under another name in a report's config section.
-_ECHO_NAMES = {"input_path": "input", "theta_text": "theta"}
-
 
 class DataFileError(WmixgofError):
     """A data file could not be parsed into positive observations."""
@@ -88,11 +85,7 @@ def _emit(sections: dict) -> None:
     parameters in declaration order, then holds ``sections``.
     """
     ctx = click.get_current_context()
-    config = {
-        _ECHO_NAMES.get(p.name, p.name): ctx.params[p.name]
-        for p in ctx.command.params
-        if p.name != "output"
-    }
+    config = {p.name: ctx.params[p.name] for p in ctx.command.params if p.name != "output"}
     report = {"command": ctx.info_name, "version": __version__, "config": config, **sections}
     text = json.dumps(report, indent=2) + "\n"
     if output := ctx.params["output"]:
@@ -147,7 +140,7 @@ output_option = click.option(
     "--output", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
     callback=_output_directory, help="Write the JSON report here instead of stdout.",
 )
-input_option = click.option("--input", "-i", "input_path", required=True, type=click.Path())
+input_option = click.option("--input", "-i", required=True, type=click.Path())
 
 
 def grid_option(default: int):
@@ -179,11 +172,11 @@ def main():
 @input_option
 @output_option
 @seed_option
-def cmd_fit(input_path, output, seed):
+def cmd_fit(input, output, seed):
     """Fit the mixture by maximum likelihood and report the parameters."""
-    sample = Sample(read_observations(input_path))
+    sample = Sample(read_observations(input))
     fit = fit_mle(sample, FitConfig(seed=seed))
-    _emit({"input": {"path": input_path, "n": sample.n}, "fit": _fit_section(fit)})
+    _emit({"input": {"path": input, "n": sample.n}, "fit": _fit_section(fit)})
 
 
 @main.command("test")
@@ -191,7 +184,7 @@ def cmd_fit(input_path, output, seed):
 @output_option
 @seed_option
 @grid_option(500)
-def cmd_test(input_path, output, seed, grid_size):
+def cmd_test(input, output, seed, grid_size):
     """Run the full goodness-of-fit test on a data file.
 
     Fits the mixture, transforms the sample through the fitted CDF,
@@ -199,11 +192,11 @@ def cmd_test(input_path, output, seed, grid_size):
     kernel eigenvalues and converts the statistic to an approximate
     p-value.
     """
-    sample = Sample(read_observations(input_path))
+    sample = Sample(read_observations(input))
     outcome = gof_test(sample, seed, grid_size)
     spectrum = outcome.spectrum
     _emit({
-        "input": {"path": input_path, "n": sample.n},
+        "input": {"path": input, "n": sample.n},
         "fit": _fit_section(outcome.fit),
         "statistic": {"w2": outcome.w2},
         "eigenvalues": {
@@ -230,7 +223,7 @@ def cmd_test(input_path, output, seed, grid_size):
     default=None,
     help="Benchmark population index (1..5).",
 )
-@click.option("--theta", "theta_text", default=None, help="Explicit alpha1,alpha2,beta1,beta2,p.")
+@click.option("--theta", default=None, help="Explicit alpha1,alpha2,beta1,beta2,p.")
 @click.option(
     "--processes",
     type=click.IntRange(min=1),
@@ -238,12 +231,12 @@ def cmd_test(input_path, output, seed, grid_size):
     show_default=True,
     help="Worker processes; the report does not depend on it.",
 )
-def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta_text, processes):
+def cmd_simulate(output, seed, grid_size, n_reps, sample_size, population, theta, processes):
     """Monte Carlo uniformity study of the approximate p-values."""
-    if (population is None) == (theta_text is None):
+    if (population is None) == (theta is None):
         raise click.UsageError("provide exactly one of --population and --theta")
-    if theta_text is not None:
-        spec = PopulationSpec(theta=_parse_theta(theta_text), label="custom")
+    if theta is not None:
+        spec = PopulationSpec(theta=_parse_theta(theta), label="custom")
     else:
         spec = benchmark_populations()[population - 1]
     result = run_study(spec, n_reps, sample_size, seed, grid_size=grid_size, processes=processes)

@@ -187,14 +187,10 @@ def _integrate(lam: np.ndarray, x: float, upper: float, tol: float) -> float:
         fx = _integrand(lam, x, u).reshape(centers.size, -1)
         kronrod = half * np.sum(fx * _KRONROD_W, axis=1)
         gauss = half * np.sum(fx * _GAUSS_W, axis=1)
-        error = np.abs(kronrod - gauss)
-        ok = error <= tol * (2.0 * half) / upper
-        if not ok.all():
-            # a difference within the rounding floor is rounding in the
-            # panel sums, which bisection cannot shrink
-            bad = ~ok
-            floor = 50.0 * _EPS * half[bad] * np.sum(np.abs(fx[bad]) * _KRONROD_W, axis=1)
-            ok[bad] = error[bad] <= floor
+        # a difference within the rounding floor is rounding in the panel
+        # sums, which bisection cannot shrink
+        floor = 50.0 * _EPS * half * np.sum(np.abs(fx) * _KRONROD_W, axis=1)
+        ok = np.abs(kronrod - gauss) <= np.maximum(tol * (2.0 * half) / upper, floor)
         result += float(np.sum(kronrod[ok]))
         centers, half = centers[~ok], 0.5 * half[~ok]
         if centers.size == 0:

@@ -60,10 +60,10 @@ class KernelMatrix:
             raise DomainError("grid size m must be at least 2")
         if r.ndim != 2 or r.shape[1] != self.m:
             raise DomainError("factor must be a matrix with m columns")
-        # |(R'R)_ij| is at most the larger of the diagonal entries (R'R)_ii,
-        # the squared column norms, so finite ones keep the matrix finite
+        # |(R'R)_ij| is at most the larger of the squared column norms (R'R)_ii,
+        # finite exactly when R is finite and R'R cannot overflow
         with np.errstate(over="ignore"):
-            finite = np.isfinite(r).all() and np.isfinite(np.einsum("ij,ij->j", r, r)).all()
+            finite = np.isfinite(np.einsum("ij,ij->j", r, r)).all()
         if not finite:
             raise NonFiniteKernel("kernel entries must be finite")
         r.setflags(write=False)
@@ -95,11 +95,14 @@ class EigenSpectrum:
     n_retained: int
     trace_captured: float
     n_negative: int
-    min_eigenvalue: float
 
     @property
     def retained(self) -> np.ndarray:
         return self.lambdas[: self.n_retained]
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.lambdas[-1])
 
 
 def grid_points(m: int) -> np.ndarray:
@@ -174,31 +177,18 @@ def eigen_spectrum(q: KernelMatrix, tail_tolerance: float = 1e-4) -> EigenSpectr
     """All eigenvalues of the kernel matrix plus the retained head.
 
     The m-by-m matrix is built once, as one product of two thin factors,
-    and the eigensolver (LAPACK's dsyevd, eigenvalues only) overwrites it in
-    place. The solver reads only the upper triangle of the C-ordered
-    product, which is the lower one ('L') in the column-major layout it is
-    handed, as it is for the eigvalsh fallback, given the transpose.
+    and ``_native.eigvalsh_upper`` (LAPACK's dsyevd, eigenvalues only)
+    overwrites it in place, reading only the upper triangle of the product.
     Positive eigenvalues are kept until their cumulative sum reaches a
     (1 - tail_tolerance) share of the total positive mass; the discarded
     tail contributes at most that share to the limiting distribution.
     """
     if not 0.0 <= tail_tolerance < 1.0:
         raise DomainError("tail_tolerance must lie in [0, 1)")
-    # the solver overwrites a, a C-ordered float64 buffer of its own
-    a = _kernel_matrix(q)
-    solver = _native.dsyevd()
-    if solver is None:
-        try:
-            lam = np.linalg.eigvalsh(a.T)
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
-    else:
-        lam = np.empty(q.m)
-        info = solver(
-            _native.LAPACK_COL_MAJOR, b"N", b"L", q.m, a.ctypes.data, q.m, lam.ctypes.data
-        )
-        if info != 0:
-            raise EigenSolverFailure(f"eigendecomposition failed: dsyevd info {info}")
+    try:
+        lam = _native.eigvalsh_upper(_kernel_matrix(q))
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverFailure(f"eigendecomposition failed: {exc}") from exc
     return _spectrum(lam, tail_tolerance)
 
 
@@ -220,7 +210,6 @@ def _spectrum(lam: np.ndarray, tail_tolerance: float) -> EigenSpectrum:
         n_retained=n_retained,
         trace_captured=float(cumulative[n_retained - 1] / total),
         n_negative=int(np.sum(lam < 0.0)),
-        min_eigenvalue=float(lam[-1]),
     )
 
 

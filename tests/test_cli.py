@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from wmixgof import (
     AllStartsFailed,
+    DomainError,
     FitConfig,
     NonFiniteHessian,
     Sample,
@@ -355,6 +356,16 @@ class TestExitCodes:
         result = runner.invoke(main, args)
         assert result.exit_code == 3
         assert "error: simulate: 3 of 3 replications failed" in result.output
+
+    def test_stageless_error_propagates(self, pop5_file, monkeypatch):
+        # an error without a stage is a programming error in the arguments,
+        # not a failed run: it leaves main as itself, with no exit code
+        def domain_error(*_):
+            raise DomainError("forced")
+
+        monkeypatch.setattr(cli, "gof_test", domain_error)
+        with pytest.raises(DomainError, match="forced"):
+            main(["test", "-i", pop5_file, "-m", "50"], standalone_mode=False)
 
     def test_exhausted_quadrature_budget_exits_4(self, runner, pop5_file, monkeypatch):
         monkeypatch.setattr(imhof, "_MAX_NODES", 10)

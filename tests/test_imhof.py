@@ -138,18 +138,23 @@ class TestImhofTail:
 
 
 def quad_reference(dist, x, tol=1e-6):
-    """imhof_tail's p-value with scipy's QUADPACK on its integrand over [0, U].
+    """imhof_tail's p-value with scipy's QUADPACK on the inversion integrand over [0, U].
 
     U is imhof_tail's own truncation point, so the two differ only by
-    quadrature error.
+    quadrature error. The integrand is formed here from the formula, one
+    scalar node at a time, rather than taken from the module it checks;
+    its exponential underflows to 0 where imhof._integrand flushes 1/rho.
     """
     lam = dist.lambdas / dist.lambdas[0]
     xs = x / dist.lambdas[0]
     upper = imhof._truncation_point(lam, xs, 0.5 * tol)
-    val, _ = quad(
-        lambda u: imhof._integrand(lam, xs, np.array([u]))[0],
-        0.0, upper, epsabs=1e-12, epsrel=0.0, limit=10000,
-    )
+
+    def integrand(u):
+        a = lam * u
+        theta = 0.5 * np.sum(np.arctan(a)) - 0.5 * xs * u
+        return math.sin(theta) * math.exp(-0.25 * np.sum(np.log1p(a * a))) / u
+
+    val, _ = quad(integrand, 0.0, upper, epsabs=1e-12, epsrel=0.0, limit=10000)
     return 0.5 + val / math.pi
 
 

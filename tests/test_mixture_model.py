@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmixgof import DomainError, MixtureParams, Sample, sample_mixture
+from wmixgof import ConvergenceError, DomainError, MixtureParams, Sample, sample_mixture
+from wmixgof.kernel_eigen import grid_points
 from wmixgof.mixture_model import _Components, cdf_gradients, invert_cdf, mixture_cdf
 
 
@@ -19,8 +20,6 @@ def quantile(t, theta):
     x, _ = invert_cdf(np.array([t]), theta)
     return float(x[0])
 
-
-PARAM_NAMES = ["alpha1", "alpha2", "beta1", "beta2", "p"]
 
 thetas = st.builds(
     MixtureParams,
@@ -197,6 +196,16 @@ class TestMixtureQuantile:
         for t in (1e-8, 1 - 1e-8):
             x = quantile(t, theta)
             assert x > 0 and abs(mixture_cdf(x, theta) - t) < 1e-5
+
+    @pytest.mark.parametrize("alpha1", [1e10, 1e12])
+    def test_resolved_bracket_off_the_root_raises(self, alpha1):
+        # a near-step component collapses some brackets to floating-point
+        # resolution while |F(x) - t| is still far above 1e-8: the solver
+        # stops in the round it sees that, not after its round budget
+        theta = MixtureParams(alpha1, 2.0, 1.0, 3.0, 0.5)
+        with pytest.raises(ConvergenceError) as err:
+            invert_cdf(grid_points(200), theta)
+        assert str(err.value) == "quantile inversion did not converge"
 
 
 class TestCdfGradient:
